@@ -578,27 +578,33 @@ SegmentQueryBatch SubsequenceMatcher<T>::MakeSegmentQueries(
                                         l - options_.lambda0,
                                         l + options_.lambda0);
   batch.queries.reserve(batch.segments.size());
+  // Only a linear scan reads the scan payload: a linear-scan base
+  // (monolithic, sharded or routed cells) or this epoch's delta. A tree
+  // index calls the function per id, so without a scan the plain
+  // function saves the payload's allocations and indirection.
+  const bool scanned =
+      options_.index_kind == IndexKind::kLinearScan || delta_index_ != nullptr;
   for (const Interval& seg : batch.segments) {
     const std::span<const T> view = query.subspan(
         static_cast<size_t>(seg.begin), static_cast<size_t>(seg.length()));
-    QueryDistanceFn fn = oracle_->SegmentQuery(view);
-    if (options_.lb_prefilter) {
-      // Attach the segment's admissible lower bound (if one exists for
-      // this distance) as a prunable payload: backends that understand
-      // it (LinearScan) skip exact evaluations the bound rules out,
-      // everything else just calls the function. Results and billed
-      // stats are identical either way (see MatcherOptions::lb_prefilter).
-      std::shared_ptr<const QueryLowerBound> lb =
-          MakeSegmentLowerBound(*db_, *catalog_, dist_, view, lb_features_);
-      if (lb != nullptr) {
-        PrunableQueryFn prunable;
-        prunable.fn = std::move(fn);
-        prunable.lower_bound = std::move(lb);
-        batch.queries.push_back(QueryDistanceFn(std::move(prunable)));
-        continue;
-      }
+    if (!scanned) {
+      batch.queries.push_back(oracle_->SegmentQuery(view));
+      continue;
     }
-    batch.queries.push_back(std::move(fn));
+    // Every scanned segment carries the payload: the batched evaluator
+    // (the scan hands it whole blocks instead of calling the function
+    // per window) and, when this distance has one, the segment's
+    // admissible lower bound (the scan skips what it rules out).
+    // Results and billed stats are identical either way (see
+    // PrunableQueryFn and MatcherOptions::lb_prefilter).
+    PrunableQueryFn payload;
+    payload.fn = oracle_->SegmentQuery(view);
+    payload.many = oracle_->SegmentQueryMany(view);
+    if (options_.lb_prefilter) {
+      payload.lower_bound =
+          MakeSegmentLowerBound(*db_, *catalog_, dist_, view, lb_features_);
+    }
+    batch.queries.push_back(QueryDistanceFn(std::move(payload)));
   }
   if (stats != nullptr) {
     stats->segments += static_cast<int64_t>(batch.segments.size());
@@ -706,23 +712,6 @@ std::vector<std::vector<double>> SubsequenceMatcher<T>::SegmentHitDistances(
 }
 
 template <typename T>
-QueryDistanceFn SubsequenceMatcher<T>::DeltaQuery(const QueryDistanceFn& query,
-                                                  int32_t offset) {
-  // Preserve prunability across the delta remap exactly as the sharded
-  // index does for shards: the delta scan sees delta-local ids, so the
-  // lower-bound offset advances by the delta's base while the exact
-  // function keeps translating ids.
-  if (const PrunableQueryFn* prunable = GetPrunable(query)) {
-    PrunableQueryFn local;
-    local.fn = [&query, offset](ObjectId id) { return query(id + offset); };
-    local.lower_bound = prunable->lower_bound;
-    local.lb_offset = prunable->lb_offset + offset;
-    return QueryDistanceFn(std::move(local));
-  }
-  return [&query, offset](ObjectId local) { return query(local + offset); };
-}
-
-template <typename T>
 std::vector<std::vector<ObjectId>> SubsequenceMatcher<T>::BatchFilterWindows(
     std::span<const QueryDistanceFn> queries, double epsilon,
     const ExecContext& exec, StatsSink* sink, QueryStats* per_query) const {
@@ -741,7 +730,7 @@ std::vector<std::vector<ObjectId>> SubsequenceMatcher<T>::BatchFilterWindows(
     std::vector<QueryDistanceFn> local;
     local.reserve(queries.size());
     for (const QueryDistanceFn& query : queries) {
-      local.push_back(DeltaQuery(query, offset));
+      local.push_back(OffsetQuery(query, offset));
     }
     std::vector<QueryStats> delta_split(
         per_query != nullptr ? queries.size() : 0);

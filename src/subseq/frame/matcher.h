@@ -287,8 +287,11 @@ class SubsequenceMatcher {
 
   /// Step 3 alone: extracts the query's segments and builds one index
   /// query function per segment (the range-query constructions step 4
-  /// issues). Pure and thread-safe; `query`'s storage must outlive the
-  /// returned batch. `stats` (optional) receives the segment count.
+  /// issues). When this matcher's step 4 runs a linear scan (a
+  /// linear-scan base or a live delta) each function carries the
+  /// PrunableQueryFn scan payload. Pure and thread-safe; `query`'s
+  /// storage must outlive the returned batch. `stats` (optional)
+  /// receives the segment count.
   SegmentQueryBatch MakeSegmentQueries(std::span<const T> query,
                                        MatchQueryStats* stats = nullptr) const;
 
@@ -514,12 +517,6 @@ class SubsequenceMatcher {
   /// `db` (one epoch past this matcher's) sharing this matcher's base.
   Result<std::unique_ptr<SubsequenceMatcher<T>>> DeriveEpoch(
       SequenceDatabase<T> db) const;
-
-  /// The query seen by the delta index: global query composed with the
-  /// delta's local-id offset, lower-bound payload preserved (mirrors
-  /// ShardedIndex::ShardQuery).
-  static QueryDistanceFn DeltaQuery(const QueryDistanceFn& query,
-                                    int32_t offset);
 
   /// Verifies all pairs in a region; invokes `on_match` for each pair
   /// within epsilon. Returns false if the verification cap was exhausted.

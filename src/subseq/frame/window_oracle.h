@@ -55,6 +55,14 @@ class WindowOracle final : public DistanceOracle,
     };
   }
 
+  /// The batched companion of SegmentQuery: many(ids, out) sets out[i]
+  /// to exactly SegmentQuery(segment)(ids[i]) through one
+  /// SequenceDistance::ComputeMany per chunk of gathered window views —
+  /// bit-identical to the per-id loop by ComputeMany's contract, and
+  /// through the vertical SIMD kernels where the distance has them. The
+  /// segment view must stay valid while the function is in use.
+  QueryDistanceManyFn SegmentQueryMany(std::span<const T> segment) const;
+
   /// Cell-contiguous windows + cascade features of `members` (see
   /// frame/lb_prefilter.h); nullptr for non-scalar element types.
   std::shared_ptr<const LowerBoundPayloads> MaterializeLbPayloads(

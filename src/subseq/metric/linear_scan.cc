@@ -11,32 +11,35 @@ namespace subseq {
 
 namespace {
 
-// Candidates per LowerBoundBlock call. Amortizes the virtual dispatch
-// and lets the provider batch its own kernel; the pruning decisions are
-// block-size independent by the QueryLowerBound contract, so this is a
-// pure tuning constant.
-constexpr int32_t kLbBlock = 256;
+// Candidates per LowerBoundBlock / batched-evaluator call. Amortizes
+// the virtual dispatch and lets the provider and the distance batch
+// their own kernels; prune decisions are block-size independent by the
+// QueryLowerBound contract and batched values equal per-id ones by the
+// PrunableQueryFn contract, so this is a pure tuning constant.
+constexpr int32_t kScanBlock = 256;
 
-// The prunable payload of a query, or nullptr when the scan should run
-// unpruned (no payload, or a payload without a provider).
-const PrunableQueryFn* PrunableOf(const QueryDistanceFn& query) {
+// The scan payload of a query, or nullptr when the scan should run one
+// id at a time, unpruned (no payload, or a payload carrying neither a
+// lower bound nor a batched evaluator).
+const PrunableQueryFn* PayloadOf(const QueryDistanceFn& query) {
   const PrunableQueryFn* p = GetPrunable(query);
-  return (p != nullptr && p->lower_bound != nullptr) ? p : nullptr;
+  return (p != nullptr && (p->lower_bound != nullptr || p->many)) ? p
+                                                                  : nullptr;
 }
 
 // Scans ids [begin, end): appends ids within epsilon to `out` in
 // ascending order and returns how many candidates the prefilter
-// skipped (0 for unpruned scans). `stage_counts` (accumulated, never
+// skipped (0 without a lower bound). `stage_counts` (accumulated, never
 // reset here) attributes the skips to cascade stages. Results are
-// identical with and without a prefilter — the lower bound is
-// admissible and the cutoff is padded above epsilon
-// (LowerBoundPruneCutoff), so no candidate within epsilon can ever be
-// skipped.
+// identical with and without a payload — the lower bound is admissible
+// and the cutoff is padded above epsilon (LowerBoundPruneCutoff), so no
+// candidate within epsilon can ever be skipped, and the batched
+// evaluator returns the per-id values bit for bit.
 int64_t ScanRange(const QueryDistanceFn& query,
-                  const PrunableQueryFn* prunable, int64_t begin,
+                  const PrunableQueryFn* payload, int64_t begin,
                   int64_t end, double epsilon, std::vector<ObjectId>* out,
                   LbBlockCounts* stage_counts) {
-  if (prunable == nullptr) {
+  if (payload == nullptr) {
     for (int64_t id = begin; id < end; ++id) {
       if (query(static_cast<ObjectId>(id)) <= epsilon) {
         out->push_back(static_cast<ObjectId>(id));
@@ -45,21 +48,42 @@ int64_t ScanRange(const QueryDistanceFn& query,
     return 0;
   }
   const double cutoff = LowerBoundPruneCutoff(epsilon);
-  double lb[kLbBlock];
+  double lb[kScanBlock];
+  ObjectId ids[kScanBlock];
+  double dist[kScanBlock];
   int64_t pruned = 0;
-  for (int64_t block = begin; block < end; block += kLbBlock) {
+  for (int64_t block = begin; block < end; block += kScanBlock) {
     const int32_t count =
-        static_cast<int32_t>(std::min<int64_t>(kLbBlock, end - block));
-    prunable->lower_bound->LowerBoundBlockStaged(
-        static_cast<ObjectId>(block) + prunable->lb_offset, count, cutoff,
-        lb, stage_counts);
-    for (int32_t i = 0; i < count; ++i) {
-      if (lb[i] > cutoff) {
-        ++pruned;
-        continue;
+        static_cast<int32_t>(std::min<int64_t>(kScanBlock, end - block));
+    // The block's survivors: the cascade's, or every id without one.
+    int32_t survivors = 0;
+    if (payload->lower_bound != nullptr) {
+      payload->lower_bound->LowerBoundBlockStaged(
+          static_cast<ObjectId>(block) + payload->lb_offset, count, cutoff,
+          lb, stage_counts);
+      for (int32_t i = 0; i < count; ++i) {
+        if (lb[i] > cutoff) {
+          ++pruned;
+        } else {
+          ids[survivors++] = static_cast<ObjectId>(block + i);
+        }
       }
-      const ObjectId id = static_cast<ObjectId>(block + i);
-      if (query(id) <= epsilon) out->push_back(id);
+    } else {
+      for (int32_t i = 0; i < count; ++i) {
+        ids[i] = static_cast<ObjectId>(block + i);
+      }
+      survivors = count;
+    }
+    if (survivors == 0) continue;
+    if (payload->many) {
+      payload->many(
+          std::span<const ObjectId>(ids, static_cast<size_t>(survivors)),
+          dist);
+    } else {
+      for (int32_t i = 0; i < survivors; ++i) dist[i] = payload->fn(ids[i]);
+    }
+    for (int32_t i = 0; i < survivors; ++i) {
+      if (dist[i] <= epsilon) out->push_back(ids[i]);
     }
   }
   return pruned;
@@ -72,7 +96,7 @@ std::vector<ObjectId> LinearScan::RangeQuery(const QueryDistanceFn& query,
                                              QueryStats* stats) const {
   std::vector<ObjectId> results;
   LbBlockCounts stages;
-  const int64_t pruned = ScanRange(query, PrunableOf(query), 0, num_objects_,
+  const int64_t pruned = ScanRange(query, PayloadOf(query), 0, num_objects_,
                                    epsilon, &results, &stages);
   if (stats != nullptr) {
     // Billing invariant: the scan is responsible for every candidate,
@@ -103,7 +127,7 @@ std::vector<std::vector<ObjectId>> LinearScan::BatchRangeQuery(
   std::vector<LbBlockCounts> parts_stages(parts.size());
   for (int64_t q = 0; q < num_queries; ++q) {
     const QueryDistanceFn& query = queries[static_cast<size_t>(q)];
-    const PrunableQueryFn* prunable = PrunableOf(query);
+    const PrunableQueryFn* payload = PayloadOf(query);
     std::fill(parts_pruned.begin(), parts_pruned.end(), 0);
     std::fill(parts_stages.begin(), parts_stages.end(), LbBlockCounts{});
     const int32_t chunks = ParallelFor(
@@ -112,7 +136,7 @@ std::vector<std::vector<ObjectId>> LinearScan::BatchRangeQuery(
           std::vector<ObjectId>& out = parts[static_cast<size_t>(chunk)];
           out.clear();
           parts_pruned[static_cast<size_t>(chunk)] =
-              ScanRange(query, prunable, begin, end, epsilon, &out,
+              ScanRange(query, payload, begin, end, epsilon, &out,
                         &parts_stages[static_cast<size_t>(chunk)]);
         },
         /*grain=*/64);

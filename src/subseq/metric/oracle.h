@@ -123,20 +123,37 @@ class QueryLowerBound {
   }
 };
 
-/// A QueryDistanceFn payload carrying an optional lower-bound provider
-/// next to the exact distance function. It is stored INSIDE the
-/// std::function, so every pass-through call site — the serving
-/// coalescer, batching, counting wrappers — forwards it untouched;
-/// prune-capable backends (LinearScan) recover it via GetPrunable.
+/// Batched exact evaluation: fills out[i] with a query's distance to
+/// ids[i] for every i.
+using QueryDistanceManyFn =
+    std::function<void(std::span<const ObjectId> ids, double* out)>;
+
+/// The step-4 scan payload: the exact distance function plus two
+/// optional accelerators a linear scan understands. It is stored INSIDE
+/// the std::function, so every pass-through call site — the serving
+/// coalescer, batching — forwards it untouched; LinearScan recovers it
+/// via GetPrunable, and the id remaps (OffsetQuery, routed cells)
+/// rebuild it over their local ids. Neither accelerator can change a
+/// hit or a billed count:
+///  * `lower_bound` lets the scan skip candidates whose admissible
+///    bound exceeds the padded cutoff (see QueryLowerBound);
+///  * `many` evaluates a block of candidates in one call. It must set
+///    out[i] to exactly fn(ids[i]), bit for bit — the
+///    SequenceDistance::ComputeMany contract it is built from (see
+///    WindowOracle::SegmentQueryMany) — so the scan hands it each
+///    block's cascade survivors, or the whole block when there is no
+///    bound, instead of calling fn once per id.
 /// Wrapping the function in a fresh lambda (as counting decorators do)
-/// deliberately sheds prunability: such queries scan unpruned, which
-/// keeps their executed-call counts exact.
+/// deliberately sheds the payload: such queries scan unpruned, one id at
+/// a time, which keeps their executed-call counts exact.
 struct PrunableQueryFn {
   std::function<double(ObjectId)> fn;
   std::shared_ptr<const QueryLowerBound> lower_bound;
   /// Added to scanned ids before LowerBoundBlock: an inner shard scans
   /// shard-local ids while the provider speaks global ids.
   ObjectId lb_offset = 0;
+  /// Optional batched evaluator over the same ids as `fn`.
+  QueryDistanceManyFn many;
 
   double operator()(ObjectId id) const { return fn(id); }
 };
@@ -146,6 +163,26 @@ struct PrunableQueryFn {
 inline const PrunableQueryFn* GetPrunable(const QueryDistanceFn& query) {
   return query.target<PrunableQueryFn>();
 }
+
+/// The query seen through the id remap local -> local + offset: a
+/// shard's, or the live delta scan's, id range inside its parent's. The
+/// exact function and any batched evaluator translate ids; a lower-bound
+/// provider rides through with lb_offset advanced by `offset`. Prune
+/// decisions are block-grouping independent (QueryLowerBound contract)
+/// and batched values equal per-id ones (PrunableQueryFn contract), so
+/// a scan over the remapped range prunes and answers exactly like the
+/// parent's scan over the same ids. `query` must outlive the result.
+QueryDistanceFn OffsetQuery(const QueryDistanceFn& query, ObjectId offset);
+
+/// The query seen through the id remap local -> members[local]: a
+/// routed cell's scattered member set. The exact function and any
+/// batched evaluator translate ids; the lower-bound provider is
+/// replaced by `bound`, which must already speak local ids (a provider
+/// rebound to the cell's payload, or nullptr to scan unpruned).
+/// `query` and `members` must outlive the result.
+QueryDistanceFn MemberQuery(const QueryDistanceFn& query,
+                            const ObjectId* members,
+                            std::shared_ptr<const QueryLowerBound> bound);
 
 /// The prune cutoff for a range scan at `epsilon`: a lower bound must
 /// exceed this — not merely epsilon — before its candidate is skipped.

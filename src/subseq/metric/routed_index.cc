@@ -259,24 +259,17 @@ QueryDistanceFn RoutedIndex::CellQuery(const QueryDistanceFn& query,
   // windows permuted cell-contiguously at build time — the provider is
   // rebound to it and the inner scan prunes over dense cell-local ids
   // 0..size-1. Without a payload (or a provider that cannot bind) the
-  // plain wrapper sheds prunability, which only affects
-  // lower_bound_pruned observability — never the hit set.
+  // cell scans unpruned, which only affects lower_bound_pruned
+  // observability — never the hit set. A batched evaluator rides
+  // through either way (MemberQuery translates its ids).
+  std::shared_ptr<const QueryLowerBound> bound;
   if (const PrunableQueryFn* prunable = GetPrunable(query);
       prunable != nullptr && prunable->lower_bound != nullptr &&
       cell_payloads_[static_cast<size_t>(c)] != nullptr) {
-    if (std::shared_ptr<const QueryLowerBound> bound =
-            prunable->lower_bound->BindTo(
-                cell_payloads_[static_cast<size_t>(c)])) {
-      PrunableQueryFn local;
-      local.fn = [&query, members](ObjectId id) {
-        return query(members[id]);
-      };
-      local.lower_bound = std::move(bound);
-      local.lb_offset = 0;
-      return QueryDistanceFn(std::move(local));
-    }
+    bound = prunable->lower_bound->BindTo(
+        cell_payloads_[static_cast<size_t>(c)]);
   }
-  return [&query, members](ObjectId local) { return query(members[local]); };
+  return MemberQuery(query, members, std::move(bound));
 }
 
 bool RoutedIndex::Probes(double pivot_distance, int32_t c,

@@ -131,9 +131,9 @@ struct RoutedIndexOptions {
 ///    dense id range per cell instead of scattered global ids, and the
 ///    scan prefilter keeps pruning inside probed cells
 ///    (lower_bound_pruned is live under routing). Oracles without
-///    payload support keep the old behavior: the payload is shed and
-///    cell members scan unpruned — never affecting the hit set either
-///    way.
+///    payload support keep the old behavior: the lower bound is shed
+///    and cell members scan unpruned — never affecting the hit set
+///    either way. A batched evaluator rides through in both cases.
 class RoutedIndex final : public RangeIndex {
  public:
   /// Selects resolved-K pivots by deterministic farthest-point k-center
@@ -254,8 +254,8 @@ class RoutedIndex final : public RangeIndex {
   void WireCells(const DistanceOracle& oracle);
 
   /// The query seen by cell c: parent-id query composed with the cell's
-  /// local-to-parent member map. Rebinds prunable payloads to the cell's
-  /// materialized windows, or sheds them when the oracle/provider has no
+  /// local-to-parent member map. Rebinds the lower bound to the cell's
+  /// materialized windows, or sheds it when the oracle/provider has no
   /// payload support (see class comment).
   QueryDistanceFn CellQuery(const QueryDistanceFn& query, int32_t c) const;
 

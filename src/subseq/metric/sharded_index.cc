@@ -79,24 +79,6 @@ int32_t ShardedIndex::shard_begin(int32_t s) const {
   return shards_[static_cast<size_t>(s)].oracle->offset();
 }
 
-QueryDistanceFn ShardedIndex::ShardQuery(const QueryDistanceFn& query,
-                                         int32_t s) const {
-  const int32_t offset = shards_[static_cast<size_t>(s)].oracle->offset();
-  // Preserve prunability across the shard remap: the inner scan sees
-  // shard-local ids, so the lower-bound offset advances by the shard's
-  // base while the exact function keeps translating ids. Decisions are
-  // block-grouping independent (QueryLowerBound contract), so pruning
-  // is identical sharded and unsharded.
-  if (const PrunableQueryFn* prunable = GetPrunable(query)) {
-    PrunableQueryFn local;
-    local.fn = [&query, offset](ObjectId id) { return query(id + offset); };
-    local.lower_bound = prunable->lower_bound;
-    local.lb_offset = prunable->lb_offset + offset;
-    return QueryDistanceFn(std::move(local));
-  }
-  return [&query, offset](ObjectId local) { return query(local + offset); };
-}
-
 std::vector<ObjectId> ShardedIndex::RangeQuery(const QueryDistanceFn& query,
                                                double epsilon,
                                                QueryStats* stats) const {
@@ -112,7 +94,7 @@ std::vector<ObjectId> ShardedIndex::RangeQuery(const QueryDistanceFn& query,
     QueryStats shard_stats;
     const std::vector<ObjectId> local =
         shards_[static_cast<size_t>(s)].index->RangeQuery(
-            ShardQuery(query, s), epsilon, &shard_stats);
+            OffsetQuery(query, offset), epsilon, &shard_stats);
     SUBSEQ_CHECK(shard_stats.result_count ==
                  static_cast<int64_t>(local.size()));
     computations += shard_stats.distance_computations;
@@ -157,7 +139,8 @@ std::vector<std::vector<ObjectId>> ShardedIndex::BatchRangeQuery(
       std::vector<QueryDistanceFn> local;
       local.reserve(num_queries);
       for (const QueryDistanceFn& query : queries) {
-        local.push_back(ShardQuery(query, static_cast<int32_t>(s)));
+        local.push_back(
+            OffsetQuery(query, shard_begin(static_cast<int32_t>(s))));
       }
       QueryStats* split = nullptr;
       if (per_query != nullptr) {
@@ -225,7 +208,7 @@ std::vector<Neighbor> ShardedIndex::NearestNeighbors(
     QueryStats shard_stats;
     std::vector<Neighbor> local =
         shards_[static_cast<size_t>(s)].index->NearestNeighbors(
-            ShardQuery(query, s), k, &shard_stats);
+            OffsetQuery(query, offset), k, &shard_stats);
     computations += shard_stats.distance_computations;
     for (Neighbor& n : local) {
       n.id += offset;

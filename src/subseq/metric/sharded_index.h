@@ -182,10 +182,6 @@ class ShardedIndex final : public RangeIndex {
 
   ShardedIndex() = default;
 
-  /// The query seen by shard s: parent-id query composed with the shard's
-  /// local-to-parent translation.
-  QueryDistanceFn ShardQuery(const QueryDistanceFn& query, int32_t s) const;
-
   std::vector<Shard> shards_;
   std::string name_;
 };

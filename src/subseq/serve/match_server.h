@@ -88,8 +88,12 @@ struct MatchServerOptions {
   /// (serve/segment_cache.h): unique segments' filter hit lists and
   /// per-hit exact distances are kept across admission rounds, so hot
   /// repeated segments skip both the index traversal and the distance
-  /// fill on later rounds. 0 disables the cache entirely (PR 4 serving
-  /// behavior). Results and per-request stats are bit-identical either
+  /// fill on later rounds. The budget is split as a segmented LRU: new
+  /// entries wait in a probation segment of a quarter of it, and an
+  /// entry's first hit moves it to the protected rest — so segments
+  /// that are never hit (distinct-query traffic) hold at most a quarter
+  /// of the budget. 0 disables the cache entirely (coalescing-only
+  /// serving). Results and per-request stats are bit-identical either
   /// way — the cache, like coalescing, changes executed work only.
   size_t cache_capacity_bytes = 64ull << 20;  // 64 MiB, on by default
   /// When non-empty, Start loads every configured kind's index from this

@@ -1,6 +1,7 @@
 #include "subseq/serve/segment_cache.h"
 
 #include <bit>
+#include <iterator>
 #include <utility>
 
 namespace subseq {
@@ -28,6 +29,25 @@ uint64_t EpsilonBits(double epsilon) {
 
 }  // namespace
 
+void SegmentResultCache::MoveToFront(List::iterator it, Segment& to) {
+  Segment& from = SegmentOf(*it);
+  from.bytes -= it->charge;
+  to.bytes += it->charge;
+  to.lru.splice(to.lru.begin(), from.lru, it);
+  it->is_protected = &to == &protected_;
+}
+
+void SegmentResultCache::Evict(List::iterator it) {
+  Segment& segment = SegmentOf(*it);
+  map_.erase(KeyView{it->epoch, it->kind, it->epsilon_bits,
+                     std::string_view(it->bytes)});
+  segment.bytes -= it->charge;
+  counters_.bytes_used -= static_cast<int64_t>(it->charge);
+  --counters_.entries;
+  ++counters_.evictions;
+  segment.lru.erase(it);
+}
+
 const SegmentResultCache::Entry* SegmentResultCache::Lookup(
     uint64_t epoch, IndexKind kind, double epsilon, const char* data,
     size_t bytes) {
@@ -39,46 +59,54 @@ const SegmentResultCache::Entry* SegmentResultCache::Lookup(
     return nullptr;
   }
   ++counters_.hits;
-  lru_.splice(lru_.begin(), lru_, it->second);  // most recently used
-  return &it->second->entry;
+  const List::iterator node = it->second;
+  MoveToFront(node, protected_);  // a promotion on the first hit
+  // Protected overflow demotes, never evicts: every entry charges at
+  // most probation_cap_ <= protected_cap_, so the entry just promoted
+  // always fits and stays.
+  while (protected_.bytes > protected_cap_) {
+    MoveToFront(std::prev(protected_.lru.end()), probation_);
+  }
+  return &node->entry;
 }
 
 void SegmentResultCache::Insert(uint64_t epoch, IndexKind kind,
                                 double epsilon, const char* data,
                                 size_t bytes, Entry entry) {
   const size_t charge = EntryCharge(bytes, entry);
-  if (charge > capacity_bytes_) return;  // could never survive eviction
+  if (charge > probation_cap_) return;  // could never survive probation
   const uint64_t epsilon_bits = EpsilonBits(epsilon);
 
   const auto it = map_.find(KeyView{epoch, kind, epsilon_bits,
                                     std::string_view(data, bytes)});
   if (it != map_.end()) {
     // Refresh in place: swap the payload, fix the byte accounting.
-    Node& node = *it->second;
+    const List::iterator node = it->second;
+    Segment& segment = SegmentOf(*node);
+    segment.bytes = segment.bytes - node->charge + charge;
     counters_.bytes_used +=
-        static_cast<int64_t>(charge) - static_cast<int64_t>(node.charge);
-    node.entry = std::move(entry);
-    node.charge = charge;
-    lru_.splice(lru_.begin(), lru_, it->second);
+        static_cast<int64_t>(charge) - static_cast<int64_t>(node->charge);
+    node->entry = std::move(entry);
+    node->charge = charge;
+    MoveToFront(node, segment);
   } else {
-    lru_.push_front(Node{epoch, kind, epsilon_bits,
-                         std::string(data, bytes), std::move(entry), charge});
-    map_.emplace(KeyView{lru_.front().epoch, lru_.front().kind,
-                         lru_.front().epsilon_bits,
-                         std::string_view(lru_.front().bytes)},
-                 lru_.begin());
+    probation_.lru.push_front(Node{epoch, kind, /*is_protected=*/false,
+                                   epsilon_bits, std::string(data, bytes),
+                                   std::move(entry), charge});
+    const Node& front = probation_.lru.front();
+    map_.emplace(KeyView{front.epoch, front.kind, front.epsilon_bits,
+                         std::string_view(front.bytes)},
+                 probation_.lru.begin());
+    probation_.bytes += charge;
     counters_.bytes_used += static_cast<int64_t>(charge);
     ++counters_.entries;
   }
 
-  while (counters_.bytes_used > static_cast<int64_t>(capacity_bytes_)) {
-    const Node& victim = lru_.back();
-    map_.erase(KeyView{victim.epoch, victim.kind, victim.epsilon_bits,
-                       std::string_view(victim.bytes)});
-    counters_.bytes_used -= static_cast<int64_t>(victim.charge);
-    --counters_.entries;
-    ++counters_.evictions;
-    lru_.pop_back();
+  while (protected_.bytes > protected_cap_) {
+    MoveToFront(std::prev(protected_.lru.end()), probation_);
+  }
+  while (probation_.bytes > probation_cap_) {
+    Evict(std::prev(probation_.lru.end()));
   }
 }
 
@@ -86,20 +114,19 @@ size_t SegmentResultCache::SweepDeadEpochs(uint64_t live_epoch,
                                            size_t max_scan) {
   size_t scanned = 0;
   size_t evicted = 0;
-  auto it = lru_.end();
-  while (it != lru_.begin() && scanned < max_scan) {
-    --it;
-    ++scanned;
-    if (it->epoch == live_epoch) continue;
-    map_.erase(KeyView{it->epoch, it->kind, it->epsilon_bits,
-                       std::string_view(it->bytes)});
-    counters_.bytes_used -= static_cast<int64_t>(it->charge);
-    --counters_.entries;
-    ++counters_.evictions;
-    ++evicted;
-    // erase returns the node after the victim; the loop's --it then
-    // steps onto the (older) node before it, so no node is skipped.
-    it = lru_.erase(it);
+  // Probation's tail, then protected's: the order entries would leave
+  // the cache in.
+  for (Segment* segment : {&probation_, &protected_}) {
+    auto it = segment->lru.end();
+    while (it != segment->lru.begin() && scanned < max_scan) {
+      --it;
+      ++scanned;
+      if (it->epoch == live_epoch) continue;
+      // Step past the victim first; the loop's --it then lands on the
+      // (older) node before it, so no node is skipped.
+      Evict(it++);
+      ++evicted;
+    }
   }
   return evicted;
 }

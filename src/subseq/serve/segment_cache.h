@@ -83,10 +83,19 @@ inline uint64_t HashSegmentBytes(const char* data, size_t bytes) {
   return h;
 }
 
-/// Epsilon-aware LRU cache of per-segment filter results. Capacity is
+/// Epsilon-aware segmented-LRU cache of per-segment filter results
+/// (Karedla, Love and Wherry, IEEE Computer 1994). Capacity is
 /// byte-accounted (key bytes + hit/distance payload + a fixed per-entry
-/// overhead); the least recently used entries are evicted when an
-/// insertion overflows it. Not thread-safe (see file comment).
+/// overhead) and split in two LRU segments:
+///  * probation — every new entry enters here; capped at a quarter of
+///    the capacity, and the only segment that evicts;
+///  * protected — an entry's first hit promotes it here; it holds the
+///    rest of the capacity, and its overflow demotes its least recently
+///    used entries to the front of probation.
+/// A segment seen once still warms the cache (a repeat hits it in
+/// probation), but segments that are never hit — a stream of distinct
+/// queries — can hold at most a quarter of the budget, and can never
+/// evict an entry that has been hit. Not thread-safe (see file comment).
 class SegmentResultCache {
  public:
   /// One cached unique segment's filter outcome at (kind, epsilon).
@@ -112,32 +121,39 @@ class SegmentResultCache {
   };
 
   explicit SegmentResultCache(size_t capacity_bytes)
-      : capacity_bytes_(capacity_bytes) {}
+      : capacity_bytes_(capacity_bytes),
+        probation_cap_(capacity_bytes / 4),
+        protected_cap_(capacity_bytes - capacity_bytes / 4) {}
   SegmentResultCache(const SegmentResultCache&) = delete;
   SegmentResultCache& operator=(const SegmentResultCache&) = delete;
 
   /// Returns the entry for (epoch, kind, epsilon, bytes) and marks it
-  /// most recently used, or nullptr (counting a miss). An entry stored
-  /// under any other epoch never matches — the epoch in the key is what
-  /// makes a cross-epoch stale hit structurally impossible. The pointer
-  /// stays valid until the next Insert — Lookup never evicts.
+  /// most recently used — promoting it to the protected segment on its
+  /// first hit — or nullptr (counting a miss). An entry stored under any
+  /// other epoch never matches — the epoch in the key is what makes a
+  /// cross-epoch stale hit structurally impossible. The pointer stays
+  /// valid until the next Insert — Lookup never evicts (a promotion's
+  /// demotions only move entries between segments).
   const Entry* Lookup(uint64_t epoch, IndexKind kind, double epsilon,
                       const char* data, size_t bytes);
 
-  /// Stores an entry under (epoch, kind, epsilon, bytes), evicting LRU
-  /// entries until the capacity holds. An entry larger than the whole
-  /// capacity is not stored at all (it could never be re-used before
-  /// eviction). Inserting an existing key refreshes the entry.
+  /// Stores an entry under (epoch, kind, epsilon, bytes) at the front of
+  /// probation, then evicts probation's LRU entries until it is back
+  /// under its quarter of the capacity. An entry larger than that
+  /// quarter is not stored at all (it could never be re-used before
+  /// eviction). Inserting an existing key refreshes the entry in its
+  /// segment.
   void Insert(uint64_t epoch, IndexKind kind, double epsilon,
               const char* data, size_t bytes, Entry entry);
 
   /// Lazily reclaims entries of dead epochs: scans up to `max_scan`
-  /// nodes from the LRU tail and evicts every one whose epoch differs
-  /// from `live_epoch` (counted in Counters::evictions). Bounded so the
-  /// admission loop can amortize reclamation across rounds instead of
-  /// stalling on a swap; dead entries that escape a sweep still can
-  /// never be served (they miss by key) and age out of the LRU tail
-  /// anyway. Returns the number evicted.
+  /// nodes from the LRU tails — probation's, then protected's — and
+  /// evicts every one whose epoch differs from `live_epoch` (counted in
+  /// Counters::evictions). Bounded so the admission loop can amortize
+  /// reclamation across rounds instead of stalling on a swap; dead
+  /// entries that escape a sweep still can never be served (they miss
+  /// by key) and age out through probation anyway. Returns the number
+  /// evicted.
   size_t SweepDeadEpochs(uint64_t live_epoch, size_t max_scan);
 
   Counters counters() const { return counters_; }
@@ -145,15 +161,18 @@ class SegmentResultCache {
 
  private:
   /// Nodes own their key bytes; the map's keys are views into them
-  /// (std::list nodes are address-stable, and splice moves no storage).
+  /// (std::list nodes are address-stable, and splice — within a list or
+  /// between the two segments — moves no storage).
   struct Node {
     uint64_t epoch;
     IndexKind kind;
+    bool is_protected;  // sits in kind's padding: no per-node growth
     uint64_t epsilon_bits;
     std::string bytes;
     Entry entry;
     size_t charge = 0;
   };
+  using List = std::list<Node>;
 
   struct KeyView {
     uint64_t epoch;
@@ -177,9 +196,27 @@ class SegmentResultCache {
     }
   };
 
+  /// Segment bookkeeping: the list (front = most recently used) and
+  /// the bytes its entries are charged.
+  struct Segment {
+    List lru;
+    size_t bytes = 0;
+  };
+
+  Segment& SegmentOf(const Node& node) {
+    return node.is_protected ? protected_ : probation_;
+  }
+  /// Moves `it` to the front of `to` (possibly its own segment).
+  void MoveToFront(List::iterator it, Segment& to);
+  /// Removes `it` from its segment and the map, counting an eviction.
+  void Evict(List::iterator it);
+
   size_t capacity_bytes_;
-  std::list<Node> lru_;  // front = most recently used
-  std::unordered_map<KeyView, std::list<Node>::iterator, KeyViewHash> map_;
+  size_t probation_cap_;  // capacity_bytes_ / 4
+  size_t protected_cap_;  // the rest
+  Segment probation_;
+  Segment protected_;
+  std::unordered_map<KeyView, List::iterator, KeyViewHash> map_;
   Counters counters_;
 };
 

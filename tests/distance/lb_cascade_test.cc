@@ -18,6 +18,8 @@
 #include <limits>
 #include <memory>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "subseq/core/rng.h"
@@ -41,6 +43,9 @@ namespace {
 using ::subseq::testing::RandomSeries;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// Evaluations per window id, one counter per window.
+using IdCounts = std::vector<std::atomic<int64_t>>;
 
 uint64_t Bits(double x) {
   uint64_t u;
@@ -118,6 +123,8 @@ class CascadeWindowTest : public ::testing::Test {
         std::move(WindowCatalog::PartitionDatabase(db_, l)).ValueOrDie());
     features_ = BuildLbFeatureTable(db_, *catalog_);
     executed_ = std::make_shared<std::atomic<int64_t>>(0);
+    per_id_ = std::make_shared<IdCounts>(catalog_->num_windows());
+    batched_ = std::make_shared<IdCounts>(catalog_->num_windows());
   }
 
   int32_t num_windows() const { return catalog_->num_windows(); }
@@ -127,15 +134,66 @@ class CascadeWindowTest : public ::testing::Test {
     return db_.at(ref.seq).Subsequence(ref.span);
   }
 
-  // The exact segment-vs-window function; every invocation is counted.
+  // The exact segment-vs-window function; every invocation is counted,
+  // in total and per window.
   std::function<double(ObjectId)> ExactFn(
       const SequenceDistance<double>& dist,
       std::span<const double> segment) const {
     auto counter = executed_;
-    return [this, &dist, segment, counter](ObjectId id) {
+    auto counts = per_id_;
+    return [this, &dist, segment, counter, counts](ObjectId id) {
       counter->fetch_add(1, std::memory_order_relaxed);
+      (*counts)[static_cast<size_t>(id)].fetch_add(
+          1, std::memory_order_relaxed);
       return dist.Compute(segment, Window(id));
     };
+  }
+
+  // WindowOracle::SegmentQueryMany — the evaluator the matcher attaches —
+  // with every window it is handed counted per window.
+  QueryDistanceManyFn CountingMany(const SequenceDistance<double>& dist,
+                                   std::span<const double> segment) const {
+    auto oracle =
+        std::make_shared<const WindowOracle<double>>(db_, *catalog_, dist);
+    auto counts = batched_;
+    return [oracle, many = oracle->SegmentQueryMany(segment), counts](
+               std::span<const ObjectId> ids, double* out) {
+      for (const ObjectId id : ids) {
+        (*counts)[static_cast<size_t>(id)].fetch_add(
+            1, std::memory_order_relaxed);
+      }
+      many(ids, out);
+    };
+  }
+
+  // The scan payload: the cascade (with or without the Kim features)
+  // when `bound`, the batched evaluator when `many`.
+  QueryDistanceFn PayloadQuery(const SequenceDistance<double>& dist,
+                               std::span<const double> segment, bool bound,
+                               bool with_features, bool many) const {
+    PrunableQueryFn p;
+    p.fn = ExactFn(dist, segment);
+    if (bound) {
+      p.lower_bound = MakeSegmentLowerBound(
+          db_, *catalog_, dist, segment, with_features ? features_ : nullptr);
+      EXPECT_NE(p.lower_bound, nullptr);
+    }
+    if (many) p.many = CountingMany(dist, segment);
+    return QueryDistanceFn(std::move(p));
+  }
+
+  QueryDistanceFn CascadeQuery(const SequenceDistance<double>& dist,
+                               std::span<const double> segment,
+                               bool with_features = true) const {
+    return PayloadQuery(dist, segment, /*bound=*/true, with_features,
+                        /*many=*/false);
+  }
+
+  // Per-window evaluation counts since the last call, then reset.
+  static std::vector<int64_t> Take(IdCounts* counts) {
+    std::vector<int64_t> out;
+    for (std::atomic<int64_t>& c : *counts) out.push_back(c.exchange(0));
+    return out;
   }
 
   QueryDistanceFn PlainQuery(const SequenceDistance<double>& dist,
@@ -143,23 +201,24 @@ class CascadeWindowTest : public ::testing::Test {
     return QueryDistanceFn(ExactFn(dist, segment));
   }
 
-  QueryDistanceFn CascadeQuery(const SequenceDistance<double>& dist,
-                               std::span<const double> segment,
-                               bool with_features = true) const {
-    std::shared_ptr<const QueryLowerBound> lb = MakeSegmentLowerBound(
-        db_, *catalog_, dist, segment, with_features ? features_ : nullptr);
-    EXPECT_NE(lb, nullptr);
-    PrunableQueryFn p;
-    p.fn = ExactFn(dist, segment);
-    p.lower_bound = std::move(lb);
-    return QueryDistanceFn(std::move(p));
-  }
 
   SequenceDatabase<double> db_;
   std::unique_ptr<WindowCatalog> catalog_;
   std::shared_ptr<const LbFeatureTable> features_;
   std::shared_ptr<std::atomic<int64_t>> executed_;
+  std::shared_ptr<IdCounts> per_id_;
+  std::shared_ptr<IdCounts> batched_;
 };
+
+void ExpectScanStatsEqual(const QueryStats& got, const QueryStats& want) {
+  EXPECT_EQ(got.distance_computations, want.distance_computations);
+  EXPECT_EQ(got.result_count, want.result_count);
+  EXPECT_EQ(got.lower_bound_pruned, want.lower_bound_pruned);
+  EXPECT_EQ(got.lb_kim_pruned, want.lb_kim_pruned);
+  EXPECT_EQ(got.lb_erp_pruned, want.lb_erp_pruned);
+  EXPECT_EQ(got.cells_probed, want.cells_probed);
+  EXPECT_EQ(got.cells_skipped, want.cells_skipped);
+}
 
 // ---------------------------------------------------------------------------
 // Stage mechanics: values, attribution, and the survivor tail.
@@ -328,6 +387,72 @@ TEST_F(CascadeScanTest, NoFalseDismissalsIn200RandomTrials) {
   }
 }
 
+TEST_F(CascadeScanTest, BatchedEvaluatorMatchesPerIdScanAcrossBlocks) {
+  // 20 sequences x 15 windows = 300: scans over the first n windows
+  // straddle the scan's 256-id block. For DTW (vertical SIMD kernel) and
+  // ERP, with no bound, the envelope-only cascade and the full cascade,
+  // the batched payload must return the per-id scan's hits and stats and
+  // evaluate exactly the windows it evaluated — once each, only through
+  // the batch path.
+  Init(/*seed=*/102, /*num_seqs=*/20, /*seq_len=*/120, /*l=*/8);
+  ASSERT_EQ(num_windows(), 300);
+  const DtwDistance1D dtw;
+  const ErpDistance1D erp;
+  const std::span<const double> segment = Window(41);
+  const std::vector<const SequenceDistance<double>*> dists = {&dtw, &erp};
+
+  // The evaluator's contract value by value: bitwise the per-id
+  // function, over more ids than one gather chunk holds.
+  for (const SequenceDistance<double>* dist : dists) {
+    const WindowOracle<double> oracle(db_, *catalog_, *dist);
+    const QueryDistanceFn fn = oracle.SegmentQuery(segment);
+    std::vector<ObjectId> ids;
+    for (ObjectId id = num_windows() - 1; id >= 0; --id) ids.push_back(id);
+    std::vector<double> out(ids.size());
+    oracle.SegmentQueryMany(segment)(ids, out.data());
+    for (size_t i = 0; i < ids.size(); ++i) {
+      ASSERT_BITEQ(out[i], fn(ids[i])) << dist->name() << " window " << ids[i];
+    }
+  }
+
+  // epsilon 0 admits only the segment's own window, at distance exactly
+  // 0: a batched value off by one ulp would drop it.
+  for (const double epsilon : {0.0, 2.0}) {
+    for (const int32_t n : {1, 255, 256, 257, 300}) {
+      const LinearScan scan(n);
+      for (const SequenceDistance<double>* dist : dists) {
+        // {bound, with_features}; ERP has no bound without features.
+        for (const auto& [bound, features] :
+             {std::pair{false, false}, std::pair{true, false},
+              std::pair{true, true}}) {
+          if (dist == &erp && bound && !features) continue;
+          SCOPED_TRACE(::testing::Message()
+                       << "epsilon=" << epsilon << " n=" << n
+                       << " dist=" << dist->name() << " bound=" << bound
+                       << " features=" << features);
+          QueryStats want_stats;
+          const std::vector<ObjectId> want = scan.RangeQuery(
+              PayloadQuery(*dist, segment, bound, features, /*many=*/false),
+              epsilon, &want_stats);
+          const std::vector<int64_t> want_calls = Take(per_id_.get());
+          if (n > 41) EXPECT_FALSE(want.empty());  // the segment's own window
+          if (n > 1 && bound) EXPECT_GT(want_stats.lower_bound_pruned, 0);
+
+          QueryStats got_stats;
+          const std::vector<ObjectId> got = scan.RangeQuery(
+              PayloadQuery(*dist, segment, bound, features, /*many=*/true),
+              epsilon, &got_stats);
+          EXPECT_EQ(got, want);
+          ExpectScanStatsEqual(got_stats, want_stats);
+          EXPECT_EQ(Take(batched_.get()), want_calls);
+          EXPECT_EQ(Take(per_id_.get()),
+                    std::vector<int64_t>(static_cast<size_t>(num_windows())));
+        }
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Routed cells: payload rebinding keeps pruning live and collapses the
 // scattered member set into one adjacent run.
@@ -366,6 +491,57 @@ TEST_F(CascadeRoutedTest, RebindingKeepsPruningLiveInsideProbedCells) {
   // with its ERP attribution — stays live under routing.
   EXPECT_GT(stats.lower_bound_pruned, 0);
   EXPECT_EQ(stats.lb_erp_pruned, stats.lower_bound_pruned);
+}
+
+TEST_F(CascadeRoutedTest, BatchedEvaluatorRidesThroughCellMemberMaps) {
+  // A routed cell's scan sees scattered members through MemberQuery: the
+  // evaluator's ids translate like the function's, with and without the
+  // rebound cascade, and nothing observable moves. Routing distances to
+  // the pivots stay per-id calls, so each window's total evaluations —
+  // per-id plus batched — must match the per-id run.
+  Init(/*seed=*/103, /*num_seqs=*/24, /*seq_len=*/120, /*l=*/8);
+  const ErpDistance1D erp;
+  const WindowOracle<double> oracle(db_, *catalog_, erp);
+  RoutedIndexOptions options;
+  options.num_cells = 4;
+  auto routed = RoutedIndex::Build(
+      oracle,
+      [](const DistanceOracle& cell_oracle, int32_t) {
+        return Result<std::unique_ptr<RangeIndex>>(
+            std::make_unique<LinearScan>(cell_oracle.size()));
+      },
+      options);
+  ASSERT_TRUE(routed.ok()) << routed.status().ToString();
+  const std::span<const double> segment = Window(57);
+  const double epsilon = 2.0;
+  for (const bool bound : {false, true}) {
+    SCOPED_TRACE(::testing::Message() << "bound=" << bound);
+    QueryStats want_stats;
+    std::vector<ObjectId> want = routed.value()->RangeQuery(
+        PayloadQuery(erp, segment, bound, /*with_features=*/true,
+                     /*many=*/false),
+        epsilon, &want_stats);
+    const std::vector<int64_t> want_calls = Take(per_id_.get());
+
+    QueryStats got_stats;
+    std::vector<ObjectId> got = routed.value()->RangeQuery(
+        PayloadQuery(erp, segment, bound, /*with_features=*/true,
+                     /*many=*/true),
+        epsilon, &got_stats);
+    EXPECT_EQ(got, want);
+    ASSERT_FALSE(got.empty());
+    ExpectScanStatsEqual(got_stats, want_stats);
+    EXPECT_GT(got_stats.cells_probed, 0);
+    const std::vector<int64_t> batched = Take(batched_.get());
+    const std::vector<int64_t> per_id = Take(per_id_.get());
+    int64_t batched_total = 0;
+    for (size_t w = 0; w < batched.size(); ++w) {
+      EXPECT_EQ(batched[w] + per_id[w], want_calls[w]) << "window " << w;
+      EXPECT_LE(batched[w], 1) << "window " << w;
+      batched_total += batched[w];
+    }
+    EXPECT_GT(batched_total, 0);
+  }
 }
 
 TEST_F(CascadeRoutedTest, BoundCloneCollapsesScatteredMembersToOneRun) {

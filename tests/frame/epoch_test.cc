@@ -13,16 +13,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <iterator>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "subseq/data/protein_gen.h"
+#include "subseq/data/song_gen.h"
+#include "subseq/distance/dtw.h"
 #include "subseq/distance/levenshtein.h"
 #include "subseq/exec/stats_sink.h"
 #include "subseq/frame/matcher.h"
@@ -46,12 +50,13 @@ const std::vector<IndexKind> kAllKinds = {
     IndexKind::kVpTree, IndexKind::kLinearScan};
 
 /// A query cut from sequence `seq` of the database (length 26).
-std::vector<char> CutQuery(const SequenceDatabase<char>& db, SeqId seq,
-                           int32_t offset) {
-  const Sequence<char>& s = db.at(seq);
+template <typename T>
+std::vector<T> CutQuery(const SequenceDatabase<T>& db, SeqId seq,
+                        int32_t offset) {
+  const Sequence<T>& s = db.at(seq);
   EXPECT_GE(s.size(), offset + 26);
   const auto view = s.Subsequence(Interval{offset, offset + 26});
-  return std::vector<char>(view.begin(), view.end());
+  return std::vector<T>(view.begin(), view.end());
 }
 
 void ExpectStatsEqual(const MatchQueryStats& live,
@@ -73,9 +78,10 @@ void ExpectStatsEqual(const MatchQueryStats& live,
 
 /// Runs both query types against `live` and `cold` and asserts
 /// element-wise equality (matches and stats).
-void ExpectAnswersIdentical(const SubsequenceMatcher<char>& live,
-                            const SubsequenceMatcher<char>& cold,
-                            const std::vector<std::vector<char>>& queries,
+template <typename T>
+void ExpectAnswersIdentical(const SubsequenceMatcher<T>& live,
+                            const SubsequenceMatcher<T>& cold,
+                            const std::vector<std::vector<T>>& queries,
                             double epsilon, bool full_stats,
                             const std::string& where) {
   for (size_t q = 0; q < queries.size(); ++q) {
@@ -105,21 +111,22 @@ void ExpectAnswersIdentical(const SubsequenceMatcher<char>& live,
 /// third append, then a retire of the FIRST APPENDED sequence (so the
 /// tombstone mask reaches into the delta, not just the base). Returns
 /// the live matcher after every op applied in order.
-std::unique_ptr<SubsequenceMatcher<char>> ApplyOps(
-    const SubsequenceMatcher<char>& start, ProteinGenerator* gen,
-    const std::vector<std::vector<char>>& queries, double epsilon,
+template <typename T, typename Generator>
+std::unique_ptr<SubsequenceMatcher<T>> ApplyOps(
+    const SubsequenceMatcher<T>& start, Generator* gen,
+    const std::vector<std::vector<T>>& queries, double epsilon,
     bool full_stats, bool check_intermediate) {
   const SeqId first_appended = start.database().size();
-  std::unique_ptr<SubsequenceMatcher<char>> live;
+  std::unique_ptr<SubsequenceMatcher<T>> live;
   const auto step = [&](auto&& derive, const std::string& what) {
-    const SubsequenceMatcher<char>& from = live ? *live : start;
+    const SubsequenceMatcher<T>& from = live ? *live : start;
     const uint64_t before = from.epoch();
     auto next = derive(from);
     ASSERT_TRUE(next.ok()) << what << ": " << next.status().ToString();
     live = std::move(next).ValueOrDie();
     EXPECT_EQ(live->epoch(), before + 1) << what;
     if (check_intermediate) {
-      auto cold = SubsequenceMatcher<char>::Build(
+      auto cold = SubsequenceMatcher<T>::Build(
           live->database(), live->distance(), live->options());
       ASSERT_TRUE(cold.ok()) << what;
       ExpectAnswersIdentical(*live, *cold.value(), queries, epsilon,
@@ -210,6 +217,67 @@ TEST(EpochDeterminismTest, EveryIntermediateEpochMatchesItsColdBuild) {
                        /*full_stats=*/true, /*check_intermediate=*/true);
   ASSERT_NE(live, nullptr);
   EXPECT_EQ(live->epoch(), 5u);
+}
+
+TEST(EpochDeterminismTest, DtwLinearScanChainMatchesColdBuildAtEveryEpoch) {
+  // SONGS under unconstrained DTW through a linear scan — the paper's
+  // non-metric configuration, whose delta scan runs the cascade and the
+  // vertical DTW ComputeMany kernel through the delta's id remap (the
+  // PROTEINS chains above use Levenshtein, whose batched path is the
+  // per-pair default). Every intermediate epoch must answer like its cold
+  // build, stats included, monolithic and sharded, at one thread and at
+  // the machine's.
+  SongGenerator seed_gen(SongGenOptions{.mean_length = 60, .seed = 80});
+  const SequenceDatabase<double> db =
+      seed_gen.GenerateDatabaseWithWindows(20, 10);
+  const DtwDistance1D dtw;
+  const double epsilon = 0.5;
+  // The op chain's first append, regenerated from the same seed: a cut
+  // of it hits the delta at distance 0 until the chain retires it.
+  SequenceDatabase<double> first_appended;
+  first_appended.Add(
+      SongGenerator(SongGenOptions{.mean_length = 60, .seed = 81})
+          .GenerateWithLength(60));
+  const std::vector<std::vector<double>> queries = {
+      CutQuery(db, 0, 0), CutQuery(db, 1, 7), CutQuery(first_appended, 0, 5)};
+  const int32_t nproc = static_cast<int32_t>(
+      std::max(1u, std::thread::hardware_concurrency()));
+  {
+    // Exact cuts match at distance 0, in the base and in the delta.
+    MatcherOptions options;
+    options.lambda = 20;
+    options.lambda0 = 5;
+    options.index_kind = IndexKind::kLinearScan;
+    auto start = std::move(SubsequenceMatcher<double>::Build(db, dtw, options))
+                     .ValueOrDie();
+    auto appended = std::move(start->WithAppended(first_appended.at(0)))
+                        .ValueOrDie();
+    ASSERT_GT(appended->delta_windows(), 0);
+    EXPECT_FALSE(start->RangeSearch(queries[0], epsilon).value().empty());
+    EXPECT_FALSE(appended->RangeSearch(queries[2], epsilon).value().empty());
+  }
+
+  for (const int32_t threads : {1, nproc}) {
+    for (const int32_t shards : {1, 2}) {
+      MatcherOptions options;
+      options.lambda = 20;
+      options.lambda0 = 5;
+      options.index_kind = IndexKind::kLinearScan;
+      options.exec.num_threads = threads;
+      options.exec.num_shards = shards;
+      SCOPED_TRACE(::testing::Message()
+                   << "threads=" << threads << " shards=" << shards);
+      auto start = SubsequenceMatcher<double>::Build(db, dtw, options);
+      ASSERT_TRUE(start.ok()) << start.status().ToString();
+      SongGenerator op_gen(SongGenOptions{.mean_length = 60, .seed = 81});
+      auto live = ApplyOps(*start.value(), &op_gen, queries, epsilon,
+                           /*full_stats=*/true, /*check_intermediate=*/true);
+      ASSERT_NE(live, nullptr);
+      EXPECT_EQ(live->epoch(), 5u);
+      EXPECT_GT(live->delta_windows(), 0);
+      EXPECT_GT(live->num_tombstoned_windows(), 0);
+    }
+  }
 }
 
 TEST(EpochDeterminismTest, DeltaAndTombstoneCountersAreObservable) {

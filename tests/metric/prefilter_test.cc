@@ -2,7 +2,10 @@
 // PrunableQueryFn skips exact evaluations the lower bound rules out
 // while returning identical results, billing the full scan, and
 // reporting the saved work in lower_bound_pruned — monolithic, sharded,
-// single and batched alike.
+// single and batched alike. A payload's batched evaluator takes over
+// every surviving evaluation without changing a hit or a count, through
+// block boundaries and the offset remap the shards and the live delta
+// share.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +13,8 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "subseq/core/rng.h"
@@ -49,6 +54,15 @@ class HalfDistanceBound final : public QueryLowerBound {
   double q_;
 };
 
+// Evaluations per GLOBAL id, one counter per point.
+using IdCounts = std::vector<std::atomic<int64_t>>;
+
+std::vector<int64_t> Snapshot(IdCounts* counts) {
+  std::vector<int64_t> out;
+  for (std::atomic<int64_t>& c : *counts) out.push_back(c.exchange(0));
+  return out;
+}
+
 struct PrefilterFixture {
   PrefilterFixture() {
     Rng rng(91);
@@ -58,32 +72,70 @@ struct PrefilterFixture {
     }
     points = pts;
     executed = std::make_shared<std::atomic<int64_t>>(0);
+    per_id = std::make_shared<IdCounts>(kNumPoints);
+    batched = std::make_shared<IdCounts>(kNumPoints);
   }
 
   // The exact query function; every invocation is counted.
   std::function<double(ObjectId)> ExactFn(double q) const {
     auto pts = points;
     auto counter = executed;
-    return [pts, counter, q](ObjectId id) {
+    auto counts = per_id;
+    return [pts, counter, counts, q](ObjectId id) {
       counter->fetch_add(1, std::memory_order_relaxed);
+      (*counts)[static_cast<size_t>(id)].fetch_add(1,
+                                                   std::memory_order_relaxed);
       return std::fabs((*pts)[static_cast<size_t>(id)] - q);
     };
+  }
+
+  // The batched evaluator of ExactFn(q): the same expression per id,
+  // every id it is handed counted in `batched`.
+  QueryDistanceManyFn ManyFn(double q) const {
+    auto pts = points;
+    auto counts = batched;
+    return [pts, counts, q](std::span<const ObjectId> ids, double* out) {
+      for (size_t i = 0; i < ids.size(); ++i) {
+        const auto id = static_cast<size_t>(ids[i]);
+        (*counts)[id].fetch_add(1, std::memory_order_relaxed);
+        out[i] = std::fabs((*pts)[id] - q);
+      }
+    };
+  }
+
+  // The per-id reference (pruned by the half-distance bound when
+  // `bound`), or the same query carrying the batched evaluator.
+  QueryDistanceFn ScanQuery(double q, bool bound, bool many) const {
+    PrunableQueryFn p;
+    p.fn = ExactFn(q);
+    if (bound) p.lower_bound = std::make_shared<HalfDistanceBound>(points, q);
+    if (many) p.many = ManyFn(q);
+    return QueryDistanceFn(std::move(p));
+  }
+
+  QueryDistanceFn PrunableQuery(double q) const {
+    return ScanQuery(q, /*bound=*/true, /*many=*/false);
   }
 
   QueryDistanceFn PlainQuery(double q) const {
     return QueryDistanceFn(ExactFn(q));
   }
 
-  QueryDistanceFn PrunableQuery(double q) const {
-    PrunableQueryFn p;
-    p.fn = ExactFn(q);
-    p.lower_bound = std::make_shared<HalfDistanceBound>(points, q);
-    return QueryDistanceFn(std::move(p));
-  }
 
   std::shared_ptr<const std::vector<double>> points;
   std::shared_ptr<std::atomic<int64_t>> executed;
+  std::shared_ptr<IdCounts> per_id;
+  std::shared_ptr<IdCounts> batched;
 };
+
+void ExpectStatsEqual(const QueryStats& got, const QueryStats& want,
+                      const std::string& where) {
+  EXPECT_EQ(got.distance_computations, want.distance_computations) << where;
+  EXPECT_EQ(got.result_count, want.result_count) << where;
+  EXPECT_EQ(got.lower_bound_pruned, want.lower_bound_pruned) << where;
+  EXPECT_EQ(got.lb_kim_pruned, want.lb_kim_pruned) << where;
+  EXPECT_EQ(got.lb_erp_pruned, want.lb_erp_pruned) << where;
+}
 
 TEST(PrefilterTest, IdenticalResultsFullBillingFewerExecutions) {
   PrefilterFixture f;
@@ -243,6 +295,109 @@ TEST(PrefilterTest, PayloadWithoutProviderScansUnpruned) {
   scan.RangeQuery(QueryDistanceFn(std::move(p)), 3.0, &stats);
   EXPECT_EQ(stats.lower_bound_pruned, 0);
   EXPECT_EQ(f.executed->load(), kNumPoints);
+}
+
+TEST(PrefilterTest, BatchedEvaluatorMatchesPerIdScanAcrossBlocks) {
+  // Scan sizes straddle the scan's 256-id block; threads=8 also splits
+  // the single query's range into chunks whose blocks start mid-range.
+  PrefilterFixture f;
+  const double q = 37.0, epsilon = 6.0;
+  for (const int32_t n : {1, 255, 256, 257, kNumPoints}) {
+    const LinearScan scan(n);
+    for (const bool bound : {false, true}) {
+      const std::string where = "n=" + std::to_string(n) +
+                                " bound=" + std::to_string(bound);
+      QueryStats want_stats;
+      const std::vector<ObjectId> want =
+          scan.RangeQuery(f.ScanQuery(q, bound, /*many=*/false), epsilon,
+                          &want_stats);
+      const std::vector<int64_t> want_calls = Snapshot(f.per_id.get());
+      ASSERT_EQ(Snapshot(f.batched.get()), std::vector<int64_t>(kNumPoints))
+          << where;
+
+      for (const int32_t threads : {1, 8}) {
+        ExecContext exec;
+        exec.num_threads = threads;
+        const std::vector<QueryDistanceFn> queries = {
+            f.ScanQuery(q, bound, /*many=*/true)};
+        StatsSink sink;
+        QueryStats got_stats;
+        const std::vector<std::vector<ObjectId>> got =
+            scan.BatchRangeQuery(queries, epsilon, exec, &sink, &got_stats);
+        const std::string at = where + " threads=" + std::to_string(threads);
+        EXPECT_EQ(got.front(), want) << at;
+        ExpectStatsEqual(got_stats, want_stats, at);
+        EXPECT_EQ(sink.lower_bound_pruned(), want_stats.lower_bound_pruned)
+            << at;
+        // Every candidate the per-id scan evaluated is evaluated exactly
+        // once, and only through the batched evaluator.
+        EXPECT_EQ(Snapshot(f.batched.get()), want_calls) << at;
+        EXPECT_EQ(Snapshot(f.per_id.get()), std::vector<int64_t>(kNumPoints))
+            << at;
+      }
+    }
+  }
+  EXPECT_GT(f.executed->load(), 0);
+}
+
+TEST(PrefilterTest, BatchedEvaluatorRidesThroughShardAndOffsetRemaps) {
+  // The shard remap and the live delta's remap are the same OffsetQuery:
+  // the evaluator's ids translate with the function's, the bound's
+  // offset advances, and nothing observable moves.
+  PrefilterFixture f;
+  const double q = 61.0, epsilon = 5.0;
+  const LinearScan mono(kNumPoints);
+  for (const bool bound : {false, true}) {
+    const std::string where = "bound=" + std::to_string(bound);
+    QueryStats want_stats;
+    const std::vector<ObjectId> want = mono.RangeQuery(
+        f.ScanQuery(q, bound, /*many=*/false), epsilon, &want_stats);
+    const std::vector<int64_t> want_calls = Snapshot(f.per_id.get());
+
+    const ScalarPointOracle oracle(*f.points);
+    ShardedIndexOptions options;
+    options.num_shards = 3;  // 134 + 133 + 133 ids: no shard is block-aligned
+    auto sharded = ShardedIndex::Build(
+        oracle,
+        [](const DistanceOracle& shard_oracle, int32_t) {
+          return Result<std::unique_ptr<RangeIndex>>(
+              std::make_unique<LinearScan>(shard_oracle.size()));
+        },
+        options);
+    ASSERT_TRUE(sharded.ok());
+    QueryStats sharded_stats;
+    const std::vector<ObjectId> sharded_ids = sharded.value()->RangeQuery(
+        f.ScanQuery(q, bound, /*many=*/true), epsilon, &sharded_stats);
+    EXPECT_EQ(sharded_ids, want) << where;
+    ExpectStatsEqual(sharded_stats, want_stats, where + " sharded");
+    EXPECT_EQ(Snapshot(f.batched.get()), want_calls) << where;
+    EXPECT_EQ(Snapshot(f.per_id.get()), std::vector<int64_t>(kNumPoints))
+        << where;
+
+    // A delta-style split: the base scans [0, 300), a second scan the
+    // remaining ids through OffsetQuery.
+    const int32_t split = 300;
+    const QueryDistanceFn query = f.ScanQuery(q, bound, /*many=*/true);
+    QueryStats base_stats, tail_stats;
+    std::vector<ObjectId> got =
+        LinearScan(split).RangeQuery(query, epsilon, &base_stats);
+    for (const ObjectId id :
+         LinearScan(kNumPoints - split)
+             .RangeQuery(OffsetQuery(query, split), epsilon, &tail_stats)) {
+      got.push_back(id + split);
+    }
+    EXPECT_EQ(got, want) << where;
+    EXPECT_EQ(base_stats.lower_bound_pruned + tail_stats.lower_bound_pruned,
+              want_stats.lower_bound_pruned)
+        << where;
+    EXPECT_EQ(base_stats.distance_computations +
+                  tail_stats.distance_computations,
+              want_stats.distance_computations)
+        << where;
+    EXPECT_EQ(Snapshot(f.batched.get()), want_calls) << where;
+    EXPECT_EQ(Snapshot(f.per_id.get()), std::vector<int64_t>(kNumPoints))
+        << where;
+  }
 }
 
 }  // namespace

@@ -1,4 +1,5 @@
-// SegmentResultCache unit tests: LRU mechanics, byte accounting,
+// SegmentResultCache unit tests: segmented-LRU mechanics (probation,
+// promotion, demotion, eviction order), byte accounting,
 // epsilon/kind-aware keys, and the word-at-a-time segment-byte hash the
 // coalescer's dedup and the cache key share.
 
@@ -88,30 +89,156 @@ TEST(SegmentCacheTest, NegativeZeroEpsilonSharesTheZeroKeyspace) {
   EXPECT_EQ(cache.counters().entries, 1);
 }
 
+// Eight empty-hit entries of budget: probation (a quarter) holds
+// exactly two of them, protected the other six.
+constexpr size_t kEightEntryBudget = 8 * kEmptyEntryCharge;
+
+std::string KeyOf(int i) { return "KEY" + std::to_string(10000 + i); }
+
+void InsertEmpty(SegmentResultCache* cache, const std::string& key,
+                 uint64_t epoch = 0) {
+  cache->Insert(epoch, IndexKind::kLinearScan, 1.0, key.data(), key.size(),
+                MakeEntry({}, 1));
+}
+
+bool Hit(SegmentResultCache* cache, const std::string& key,
+         uint64_t epoch = 0) {
+  return cache->Lookup(epoch, IndexKind::kLinearScan, 1.0, key.data(),
+                       key.size()) != nullptr;
+}
+
 TEST(SegmentCacheTest, LruEvictsLeastRecentlyUsedFirst) {
-  // Room for exactly two empty-hit entries with 8-byte keys.
-  SegmentResultCache cache(2 * kEmptyEntryCharge);
+  // Segmented LRU: new entries queue in probation, which evicts its
+  // least recently used entry first; an entry that has been hit sits in
+  // protected and is not a candidate, however old.
+  SegmentResultCache cache(kEightEntryBudget);
   const std::string a = "AAAAAAAA";
   const std::string b = "BBBBBBBB";
   const std::string c = "CCCCCCCC";
-  cache.Insert(0, IndexKind::kLinearScan, 1.0, a.data(), a.size(),
-               MakeEntry({}, 1));
-  cache.Insert(0, IndexKind::kLinearScan, 1.0, b.data(), b.size(),
-               MakeEntry({}, 2));
-  // Touch A so B becomes the LRU victim.
-  ASSERT_NE(cache.Lookup(0, IndexKind::kLinearScan, 1.0, a.data(), a.size()),
-            nullptr);
-  cache.Insert(0, IndexKind::kLinearScan, 1.0, c.data(), c.size(),
-               MakeEntry({}, 3));
-
-  EXPECT_EQ(cache.Lookup(0, IndexKind::kLinearScan, 1.0, b.data(), b.size()),
-            nullptr);  // evicted
-  EXPECT_NE(cache.Lookup(0, IndexKind::kLinearScan, 1.0, a.data(), a.size()),
-            nullptr);
-  EXPECT_NE(cache.Lookup(0, IndexKind::kLinearScan, 1.0, c.data(), c.size()),
-            nullptr);
+  const std::string d = "DDDDDDDD";
+  const std::string e = "EEEEEEEE";
+  InsertEmpty(&cache, a);
+  InsertEmpty(&cache, b);
+  // Hit A: promoted, so B — inserted later — becomes the probation
+  // victim.
+  ASSERT_TRUE(Hit(&cache, a));
+  InsertEmpty(&cache, c);  // probation: C, B (full)
+  EXPECT_EQ(cache.counters().evictions, 0);
+  InsertEmpty(&cache, d);  // probation: D, C, B -> evicts B
   EXPECT_EQ(cache.counters().evictions, 1);
-  EXPECT_EQ(cache.counters().entries, 2);
+  InsertEmpty(&cache, e);  // probation: E, D, C -> evicts C
+  EXPECT_EQ(cache.counters().evictions, 2);
+  EXPECT_EQ(cache.counters().entries, 3);
+
+  EXPECT_FALSE(Hit(&cache, b));  // evicted first
+  EXPECT_FALSE(Hit(&cache, c));  // evicted second
+  EXPECT_TRUE(Hit(&cache, a));
+  EXPECT_TRUE(Hit(&cache, d));
+  EXPECT_TRUE(Hit(&cache, e));
+  EXPECT_EQ(cache.counters().evictions, 2);
+}
+
+TEST(SegmentCacheTest, ProtectedOverflowDemotesItsLruEntryIntoProbation) {
+  // Seven hit entries overflow protected's six-entry share: its least
+  // recently used entry (P0) drops to the front of probation — not out
+  // of the cache — and leaves only once probation evicts it.
+  SegmentResultCache cache(kEightEntryBudget);
+  for (int i = 0; i < 7; ++i) {
+    InsertEmpty(&cache, KeyOf(i));
+    ASSERT_TRUE(Hit(&cache, KeyOf(i)));
+  }
+  EXPECT_EQ(cache.counters().entries, 7);
+  EXPECT_EQ(cache.counters().evictions, 0);
+
+  InsertEmpty(&cache, "XXXXXXXX");  // probation: X, P0 (full)
+  EXPECT_EQ(cache.counters().evictions, 0);
+  InsertEmpty(&cache, "YYYYYYYY");  // probation: Y, X, P0 -> evicts P0
+  EXPECT_EQ(cache.counters().evictions, 1);
+  EXPECT_FALSE(Hit(&cache, KeyOf(0)));
+  for (int i = 1; i < 7; ++i) EXPECT_TRUE(Hit(&cache, KeyOf(i))) << i;
+}
+
+TEST(SegmentCacheTest, NeverHitStreamStaysInAQuarterAndSparesHitEntries) {
+  SegmentResultCache cache(kEightEntryBudget);
+  const std::string hot = "HOTHOTHO";
+  InsertEmpty(&cache, hot);
+  ASSERT_TRUE(Hit(&cache, hot));
+  for (int i = 0; i < 100; ++i) {
+    InsertEmpty(&cache, KeyOf(i));
+    // Only the never-hit entries compete for probation, so the stream
+    // holds at most a quarter of the budget on top of the hit entry.
+    EXPECT_LE(cache.counters().bytes_used,
+              static_cast<int64_t>(kEightEntryBudget / 4 + kEmptyEntryCharge))
+        << i;
+  }
+  EXPECT_EQ(cache.counters().evictions, 98);
+  EXPECT_TRUE(Hit(&cache, hot));
+
+  // With nothing ever hit, the whole cache stays within the quarter.
+  SegmentResultCache cold(kEightEntryBudget);
+  for (int i = 0; i < 100; ++i) {
+    InsertEmpty(&cold, KeyOf(i));
+    EXPECT_LE(cold.counters().bytes_used,
+              static_cast<int64_t>(kEightEntryBudget / 4))
+        << i;
+  }
+}
+
+TEST(SegmentCacheTest, LookupNeverEvicts) {
+  // Promotions that overflow protected only demote: every entry stays
+  // resident until the next Insert, so warm-entry pointers a round
+  // holds stay valid across its lookups.
+  SegmentResultCache cache(kEightEntryBudget);
+  InsertEmpty(&cache, KeyOf(0));
+  InsertEmpty(&cache, KeyOf(1));
+  std::vector<const SegmentResultCache::Entry*> held;
+  for (int i = 2; i < 9; ++i) {
+    InsertEmpty(&cache, KeyOf(i));
+    ASSERT_TRUE(Hit(&cache, KeyOf(i)));
+  }
+  const int64_t evictions = cache.counters().evictions;
+  const int64_t entries = cache.counters().entries;
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 9; ++i) {
+      const std::string key = KeyOf(i);
+      const SegmentResultCache::Entry* entry = cache.Lookup(
+          0, IndexKind::kLinearScan, 1.0, key.data(), key.size());
+      if (entry != nullptr && round == 0) held.push_back(entry);
+    }
+    EXPECT_EQ(cache.counters().evictions, evictions);
+    EXPECT_EQ(cache.counters().entries, entries);
+    EXPECT_LE(cache.counters().bytes_used,
+              static_cast<int64_t>(kEightEntryBudget));
+  }
+  for (const SegmentResultCache::Entry* entry : held) {
+    EXPECT_EQ(entry->filter_computations, 1);
+  }
+}
+
+TEST(SegmentCacheTest, EntryLargerThanProbationIsNotStored) {
+  // 1024 bytes of budget: a quarter is 256. A 16-hit entry charges
+  // 8 + 16 * 12 + 96 = 296 bytes — it fits the whole budget but not
+  // probation, where every entry must start, so it is not stored.
+  SegmentResultCache cache(1024);
+  const std::string key = "SEGMENTA";
+  std::vector<ObjectId> hits(16);
+  for (int i = 0; i < 16; ++i) hits[static_cast<size_t>(i)] = i;
+  cache.Insert(0, IndexKind::kLinearScan, 1.0, key.data(), key.size(),
+               MakeEntry(hits, 9));
+  EXPECT_FALSE(Hit(&cache, key));
+  EXPECT_EQ(cache.counters().entries, 0);
+  EXPECT_EQ(cache.counters().bytes_used, 0);
+  EXPECT_EQ(cache.counters().evictions, 0);
+  // One hit fewer charges 284 bytes; still over the quarter.
+  hits.pop_back();
+  cache.Insert(0, IndexKind::kLinearScan, 1.0, key.data(), key.size(),
+               MakeEntry(hits, 9));
+  EXPECT_EQ(cache.counters().entries, 0);
+  // Twelve hits charge 248 bytes and fit.
+  hits.resize(12);
+  cache.Insert(0, IndexKind::kLinearScan, 1.0, key.data(), key.size(),
+               MakeEntry(hits, 9));
+  EXPECT_TRUE(Hit(&cache, key));
 }
 
 TEST(SegmentCacheTest, OversizedEntryIsNotStored) {
@@ -194,6 +321,31 @@ TEST(SegmentCacheTest, SweepDeadEpochsEvictsOnlyDeadEntriesBounded) {
             static_cast<int64_t>(kEmptyEntryCharge));
   // Idempotent once everything resident is live.
   EXPECT_EQ(cache.SweepDeadEpochs(/*live_epoch=*/2, /*max_scan=*/100), 0u);
+}
+
+TEST(SegmentCacheTest, SweepDeadEpochsReclaimsBothSegments) {
+  SegmentResultCache cache(kEightEntryBudget);
+  // Epoch 1: two protected entries (hit) and one in probation; epoch
+  // 2: one of each.
+  for (int i = 0; i < 2; ++i) {
+    InsertEmpty(&cache, KeyOf(i), /*epoch=*/1);
+    ASSERT_TRUE(Hit(&cache, KeyOf(i), 1));
+  }
+  InsertEmpty(&cache, KeyOf(2), 1);
+  InsertEmpty(&cache, KeyOf(3), 2);
+  ASSERT_TRUE(Hit(&cache, KeyOf(3), 2));
+  InsertEmpty(&cache, KeyOf(4), 2);
+  EXPECT_EQ(cache.counters().entries, 5);
+  EXPECT_EQ(cache.counters().evictions, 0);
+
+  EXPECT_EQ(cache.SweepDeadEpochs(/*live_epoch=*/2, /*max_scan=*/100), 3u);
+  EXPECT_EQ(cache.counters().entries, 2);
+  EXPECT_EQ(cache.counters().evictions, 3);
+  EXPECT_EQ(cache.counters().bytes_used,
+            static_cast<int64_t>(2 * kEmptyEntryCharge));
+  for (int i = 0; i < 3; ++i) EXPECT_FALSE(Hit(&cache, KeyOf(i), 1)) << i;
+  EXPECT_TRUE(Hit(&cache, KeyOf(3), 2));
+  EXPECT_TRUE(Hit(&cache, KeyOf(4), 2));
 }
 
 TEST(SegmentCacheTest, HashDistinguishesLongBuffersDifferingAnywhere) {

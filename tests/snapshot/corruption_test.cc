@@ -7,6 +7,7 @@
 // battery under ASan/UBSan, so "never crash" is machine-checked.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstring>
@@ -24,8 +25,12 @@
 namespace subseq {
 namespace {
 
+// Every name carries the process id: ctest runs each test in its own
+// process, in parallel, and every process's suite set-up writes, reads
+// and deletes the shared corpus — under one name, a neighbour's
+// tear-down could delete it mid-read.
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return ::testing::TempDir() + "/" + std::to_string(getpid()) + "_" + name;
 }
 
 std::vector<uint8_t> ReadFileBytes(const std::string& path) {
@@ -88,6 +93,15 @@ class SnapshotCorruptionTest : public ::testing::Test {
     ASSERT_TRUE(matcher.ok());
     ASSERT_TRUE(matcher.value()->SaveIndex(*path_).ok());
     bytes_ = new std::vector<uint8_t>(ReadFileBytes(*path_));
+    ASSERT_GE(bytes_->size(), sizeof(SnapshotFooterTail));
+  }
+
+  // Tail() parses the corpus's last footer-sized bytes; a corpus that
+  // failed to write or read must stop each test before it does.
+  void SetUp() override {
+    ASSERT_NE(bytes_, nullptr);
+    ASSERT_GE(bytes_->size(), sizeof(SnapshotFooterTail))
+        << "the corpus snapshot is shorter than its footer";
   }
 
   static void TearDownTestSuite() {
