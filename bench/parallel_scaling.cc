@@ -1,7 +1,7 @@
 // Thread-scaling of the execution layer: index construction and batched
 // range queries on PROTEINS / Levenshtein at 1/2/4/8 threads, plus a
-// shard sweep of the ShardedIndex (1/2/4/8 contiguous shards of the same
-// catalog behind per-shard reference nets).
+// shard sweep of the PartitionedIndex (1/2/4/8 contiguous shards of the
+// same catalog behind per-shard reference nets).
 //
 // Prints a table and writes BENCH_parallel_scaling.json (machine-readable,
 // consumed by CI trend tooling and gated by tools/bench_check.py). Also
@@ -34,9 +34,8 @@
 #include "subseq/frame/windowing.h"
 #include "subseq/metric/linear_scan.h"
 #include "subseq/metric/mv_index.h"
+#include "subseq/metric/partitioned_index.h"
 #include "subseq/metric/reference_net.h"
-#include "subseq/metric/routed_index.h"
-#include "subseq/metric/sharded_index.h"
 #include "subseq/metric/vp_tree.h"
 
 namespace subseq::bench {
@@ -144,7 +143,7 @@ int Run() {
 
   // ------------------------------------------------------------ shard sweep
   // K contiguous shards, one reference net per shard, built and queried
-  // through the ShardedIndex at the hardware thread budget. Build cost is
+  // through the PartitionedIndex at the hardware thread budget. Build cost is
   // super-linear in the shard size, so sharding wins build time twice:
   // less total work AND parallel shard construction.
   std::printf("\n%8s %12s %14s %13s %12s %14s\n", "shards", "build_ms",
@@ -167,12 +166,12 @@ int Run() {
   }
   double shard_base_build = 0.0;
   for (const int32_t shards : {1, 2, 4, 8}) {
-    ShardedIndexOptions options;
-    options.num_shards = shards;
+    PartitionedIndexOptions options;
+    options.num_parts = shards;
     options.exec = shard_exec;
 
     auto t0 = std::chrono::steady_clock::now();
-    auto built = ShardedIndex::Build(oracle, factory, options);
+    auto built = PartitionedIndex::Build(oracle, factory, options);
     SUBSEQ_CHECK(built.ok());
     const auto sharded = std::move(built).ValueOrDie();
     const double build_ms = MillisSince(t0);
@@ -260,10 +259,11 @@ int Run() {
     SUBSEQ_CHECK(mono_computations > 0);
 
     for (const int32_t cells : {4, 8}) {
-      RoutedIndexOptions options;
-      options.num_cells = cells;
+      PartitionedIndexOptions options;
+      options.kind = PartitionKind::kKCenter;
+      options.num_parts = cells;
       options.exec = shard_exec;
-      auto built = RoutedIndex::Build(route_oracle, scan_factory, options);
+      auto built = PartitionedIndex::Build(route_oracle, scan_factory, options);
       SUBSEQ_CHECK(built.ok());
       const auto routed = std::move(built).ValueOrDie();
 
@@ -292,7 +292,7 @@ int Run() {
       SUBSEQ_CHECK(skip_rate > 0.0);
       SUBSEQ_CHECK(saved > 0.0);
       std::printf("%8d %12.1f %14lld %15.3f %14.3f\n",
-                  routed->num_cells(), query_ms,
+                  routed->num_parts(), query_ms,
                   static_cast<long long>(sink.distance_computations()),
                   skip_rate, saved);
 

@@ -10,7 +10,6 @@
 #ifndef SUBSEQ_EXEC_EXEC_CONTEXT_H_
 #define SUBSEQ_EXEC_EXEC_CONTEXT_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <thread>
 
@@ -43,23 +42,25 @@ struct ExecContext {
   int32_t num_threads = 0;
 
   /// Number of contiguous data shards index construction partitions the
-  /// object catalog into (consumed by ShardedIndex via
-  /// SubsequenceMatcher::Build; parallel loop sections ignore it). 0 or 1
-  /// keeps one monolithic index. Like num_threads, the knob never changes
-  /// answers: the sharded index merges per-shard results in shard order
-  /// and rolls stats up exactly.
+  /// object catalog into (a PartitionedIndex with a contiguous layout,
+  /// built by SubsequenceMatcher::Build; parallel loop sections ignore
+  /// it). 0 or 1 keeps one monolithic index. Like num_threads, the knob
+  /// never changes answers: parts merge in part order and stats roll up
+  /// exactly.
   int32_t num_shards = 0;
 
   /// Number of coarse routing cells index construction clusters the
-  /// object catalog into (consumed by RoutedIndex via
-  /// SubsequenceMatcher::Build; parallel loop sections ignore it). 0 or
-  /// 1 keeps one monolithic index. Unlike num_shards' contiguous split,
-  /// cells partition by *distance* to k-center pivots, and queries are
-  /// routed only to cells whose covering radius can contain an epsilon
-  /// match. Matches and verification stats stay element-wise identical
-  /// at any setting; filter distance_computations deliberately SHRINK
-  /// (skipped cells are not billed — that saving is the point; see
-  /// QueryStats::cells_skipped). Requires a metric distance.
+  /// object catalog into (a PartitionedIndex with a k-center layout,
+  /// built by SubsequenceMatcher::Build; parallel loop sections ignore
+  /// it). 0 or 1 keeps one monolithic index. Unlike num_shards'
+  /// contiguous split, cells partition by *distance* to k-center
+  /// pivots, and queries are routed only to cells whose covering radius
+  /// can contain an epsilon match. Matches and verification stats stay
+  /// element-wise identical at any setting; filter
+  /// distance_computations deliberately SHRINK (skipped cells are not
+  /// billed — that saving is the point; see QueryStats::cells_skipped).
+  /// Requires a metric distance. Both knobs resolve through
+  /// ResolvePartition (metric/partitioned_index.h).
   int32_t routing_cells = 0;
 
   /// Worker budget for step-5 verification (candidate-region and chain
@@ -80,22 +81,6 @@ struct ExecContext {
   /// num_verify_threads if set, otherwise the num_threads resolution.
   int32_t ResolvedVerifyThreads() const {
     return num_verify_threads > 0 ? num_verify_threads : ResolvedThreads();
-  }
-
-  /// The effective shard count for a catalog of `num_objects` objects:
-  /// at least 1, never more than the object count (empty shards are
-  /// pointless), num_shards otherwise.
-  int32_t ResolvedShards(int32_t num_objects) const {
-    const int32_t floor = num_shards > 1 ? num_shards : 1;
-    return num_objects > 1 ? std::min(floor, num_objects) : 1;
-  }
-
-  /// The effective routing-cell count for a catalog of `num_objects`
-  /// objects — the same clamp as ResolvedShards (at least 1, never more
-  /// than the object count).
-  int32_t ResolvedCells(int32_t num_objects) const {
-    const int32_t floor = routing_cells > 1 ? routing_cells : 1;
-    return num_objects > 1 ? std::min(floor, num_objects) : 1;
   }
 };
 

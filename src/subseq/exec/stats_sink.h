@@ -16,6 +16,8 @@
 
 namespace subseq {
 
+struct QueryStats;
+
 /// Atomic counters for the accounting every index and the matcher keep.
 class StatsSink {
  public:
@@ -51,7 +53,7 @@ class StatsSink {
   void AddLbErpPruned(int64_t n) {
     lb_erp_pruned_.fetch_add(n, std::memory_order_relaxed);
   }
-  /// Routed-index cells probed / skipped across queries (see
+  /// k-center cells probed / skipped across queries (see
   /// QueryStats::cells_probed / cells_skipped).
   void AddCellsProbed(int64_t n) {
     cells_probed_.fetch_add(n, std::memory_order_relaxed);
@@ -68,6 +70,10 @@ class StatsSink {
   void AddTombstonesMasked(int64_t n) {
     tombstones_masked_.fetch_add(n, std::memory_order_relaxed);
   }
+  /// Adds every counter of `stats` (result_count lands in results()).
+  /// Defined next to QueryStats::operator+= (metric/range_index.cc):
+  /// the two are the only places that list the counters for a roll-up.
+  void Add(const QueryStats& stats);
 
   int64_t distance_computations() const {
     return distance_computations_.load(std::memory_order_relaxed);

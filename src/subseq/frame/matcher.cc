@@ -21,8 +21,7 @@
 #include "subseq/exec/verify_budget.h"
 #include "subseq/frame/lb_prefilter.h"
 #include "subseq/metric/linear_scan.h"
-#include "subseq/metric/routed_index.h"
-#include "subseq/metric/sharded_index.h"
+#include "subseq/metric/partitioned_index.h"
 
 namespace subseq {
 
@@ -131,9 +130,9 @@ void ComputeTombstoneMask(const SequenceDatabase<T>& db,
 }
 
 // One backend of options.index_kind over the given oracle — the whole
-// window catalog (monolithic) or one shard's view of it (the ShardedIndex
-// factory path: every shard gets an independent index of the same kind
-// with the same tunables).
+// window catalog (monolithic) or one part's view of it (the
+// PartitionedIndex factory path: every part gets an independent index of
+// the same kind with the same tunables).
 Result<std::unique_ptr<RangeIndex>> BuildKindIndex(
     const DistanceOracle& oracle, const MatcherOptions& options) {
   switch (options.index_kind) {
@@ -162,6 +161,26 @@ Result<std::unique_ptr<RangeIndex>> BuildKindIndex(
           std::make_unique<LinearScan>(oracle.size()));
   }
   return Status::InvalidArgument("unknown IndexKind");
+}
+
+// Step 2's index: one backend of options.index_kind over the whole
+// catalog, or K parts of that kind behind a PartitionedIndex —
+// contiguous shards or pivot-routed cells. The filter (step 4) and
+// everything above it are agnostic: every shape implements RangeIndex
+// with identical hit sets.
+Result<std::unique_ptr<RangeIndex>> BuildBaseIndex(
+    const DistanceOracle& oracle, const MatcherOptions& options) {
+  const PartitionedIndexOptions partition =
+      ResolvePartition(options.exec, oracle.size());
+  if (partition.num_parts <= 1) return BuildKindIndex(oracle, options);
+  auto built = PartitionedIndex::Build(
+      oracle,
+      [&options](const DistanceOracle& part_oracle, int32_t) {
+        return BuildKindIndex(part_oracle, options);
+      },
+      partition);
+  SUBSEQ_RETURN_NOT_OK(built.status());
+  return std::unique_ptr<RangeIndex>(std::move(built).ValueOrDie());
 }
 
 // Speculative half of the parallel Type II chain search: scans chains
@@ -462,47 +481,10 @@ Result<std::unique_ptr<SubsequenceMatcher<T>>> SubsequenceMatcher<T>::Build(
   // the resolved options, not the caller's.
   const MatcherOptions& resolved = matcher->options_;
 
-  // Step 2: one monolithic index; K contiguous per-shard indexes behind
-  // a ShardedIndex; or — when the caller asked for routing — K
-  // pivot-routed cells of the same kind behind a RoutedIndex. The filter
-  // (step 4) and everything above it are agnostic: all three shapes
-  // implement RangeIndex with identical hit sets.
-  const int32_t num_shards =
-      resolved.exec.ResolvedShards(matcher->oracle_->size());
-  const int32_t num_cells =
-      resolved.exec.ResolvedCells(matcher->oracle_->size());
-  if (num_cells > 1) {
-    RoutedIndexOptions routing;
-    routing.num_cells = num_cells;
-    routing.exec = resolved.exec;
-    auto routed = RoutedIndex::Build(
-        *matcher->oracle_,
-        [&resolved](const DistanceOracle& cell_oracle, int32_t) {
-          return BuildKindIndex(cell_oracle, resolved);
-        },
-        routing);
-    SUBSEQ_RETURN_NOT_OK(routed.status());
-    matcher->AdoptBase(std::move(routed).ValueOrDie(), nullptr, nullptr,
-                       matcher->catalog_->num_windows());
-  } else if (num_shards > 1) {
-    ShardedIndexOptions sharding;
-    sharding.num_shards = num_shards;
-    sharding.exec = resolved.exec;
-    auto sharded = ShardedIndex::Build(
-        *matcher->oracle_,
-        [&resolved](const DistanceOracle& shard_oracle, int32_t) {
-          return BuildKindIndex(shard_oracle, resolved);
-        },
-        sharding);
-    SUBSEQ_RETURN_NOT_OK(sharded.status());
-    matcher->AdoptBase(std::move(sharded).ValueOrDie(), nullptr, nullptr,
-                       matcher->catalog_->num_windows());
-  } else {
-    auto index = BuildKindIndex(*matcher->oracle_, resolved);
-    SUBSEQ_RETURN_NOT_OK(index.status());
-    matcher->AdoptBase(std::move(index).ValueOrDie(), nullptr, nullptr,
-                       matcher->catalog_->num_windows());
-  }
+  auto index = BuildBaseIndex(*matcher->oracle_, resolved);
+  SUBSEQ_RETURN_NOT_OK(index.status());
+  matcher->AdoptBase(std::move(index).ValueOrDie(), nullptr, nullptr,
+                     matcher->catalog_->num_windows());
   return matcher;
 }
 
@@ -637,8 +619,8 @@ std::vector<SegmentHit> SubsequenceMatcher<T>::MergeSegmentHits(
   // Canonical merge: hits land in (segment order, ascending window id
   // within a segment). RangeQuery leaves per-query result order
   // unspecified — it varies with the backend's traversal and, for a
-  // ShardedIndex, with the shard count — so step 5's input is normalized
-  // here: any two exact indexes (monolithic or sharded, any backend)
+  // PartitionedIndex, with the layout — so step 5's input is normalized
+  // here: any two exact indexes (monolithic or partitioned, any backend)
   // that agree on the hit *set* feed the verifier the identical hit
   // sequence, making matches and downstream stats backend-independent.
   size_t total_hits = 0;
@@ -747,12 +729,7 @@ std::vector<std::vector<ObjectId>> SubsequenceMatcher<T>::BatchFilterWindows(
       merged.reserve(merged.size() + delta_results[q].size());
       for (const ObjectId id : delta_results[q]) merged.push_back(id + offset);
       if (per_query != nullptr) {
-        per_query[q].distance_computations +=
-            delta_split[q].distance_computations;
-        per_query[q].result_count += delta_split[q].result_count;
-        per_query[q].lower_bound_pruned += delta_split[q].lower_bound_pruned;
-        per_query[q].lb_kim_pruned += delta_split[q].lb_kim_pruned;
-        per_query[q].lb_erp_pruned += delta_split[q].lb_erp_pruned;
+        per_query[q] += delta_split[q];
         per_query[q].delta_windows_probed += delta;
       }
     }

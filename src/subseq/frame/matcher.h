@@ -113,16 +113,17 @@ struct MatcherOptions {
   ///
   /// exec.num_shards > 1 partitions the window catalog into that many
   /// contiguous shards and builds one index of index_kind per shard
-  /// behind a ShardedIndex (metric/sharded_index.h): builds parallelize
-  /// across shards (and do less total work for super-linear builds), and
-  /// step 4 fans each segment across shards with a shard-order merge.
-  /// Matches and all pipeline stats except filter_computations are
-  /// identical to the unsharded index at any shard count (pruning scope
-  /// differs across K small indexes vs one large one; LinearScan is
-  /// identical on that count too). 0 or 1 = one monolithic index.
+  /// behind a PartitionedIndex (metric/partitioned_index.h): builds
+  /// parallelize across shards (and do less total work for super-linear
+  /// builds), and step 4 fans each segment across shards with a
+  /// shard-order merge. Matches and all pipeline stats except
+  /// filter_computations are identical to the unsharded index at any
+  /// shard count (pruning scope differs across K small indexes vs one
+  /// large one; LinearScan is identical on that count too). 0 or 1 =
+  /// one monolithic index.
   ///
   /// exec.routing_cells > 1 instead clusters the catalog into that many
-  /// pivot-routed cells behind a RoutedIndex (metric/routed_index.h):
+  /// pivot-routed k-center cells behind the same PartitionedIndex:
   /// deterministic k-center pivots, per-cell covering radii, and step 4
   /// probes only the cells whose radius can contain an epsilon match —
   /// the triangle inequality as *cross-cell* pruning. Builds parallelize
@@ -161,14 +162,14 @@ struct MatcherOptions {
 };
 
 /// Tunables of SubsequenceMatcher::BuildToSnapshot — the out-of-core,
-/// shard-by-shard builder.
+/// part-by-part builder.
 struct SnapshotBuildOptions {
   /// Catalog windows fed to an insertion-built backend (reference net,
   /// cover tree) per batch before the residency gauge is charged again.
-  /// 0 = one batch per shard. Any batch size produces byte-identical
+  /// 0 = one batch per part. Any batch size produces byte-identical
   /// snapshots: insertions happen in ascending id order regardless of
   /// how they are batched. Table-built backends (MV-index, VP-tree,
-  /// linear scan) always materialize a whole shard at once.
+  /// linear scan) always materialize a whole part at once.
   int32_t batch_windows = 0;
 };
 
@@ -440,7 +441,7 @@ class SubsequenceMatcher {
   /// `options` must describe the index the snapshot holds: same lambda
   /// (the catalog's window length is checked), same index_kind (the
   /// snapshot must contain that kind's block), same backend tunables and
-  /// resolved shard count (each backend verifies its stored build
+  /// resolved partition (each backend verifies its stored build
   /// options) — a loaded matcher must equal the fresh build it replaces,
   /// and answers element-wise identically (matches AND stats, including
   /// restored build counters). The file is opened per
@@ -456,13 +457,14 @@ class SubsequenceMatcher {
       const SequenceDatabase<T>& db, const SequenceDistance<T>& dist,
       MatcherOptions options, std::shared_ptr<const SnapshotFile> file);
 
-  /// Out-of-core Build + SaveIndex: streams the window catalog shard by
-  /// shard, building and serializing ONE shard's index at a time and
-  /// freeing it before the next, so peak residency is O(shard) — not
+  /// Out-of-core Build + SaveIndex: streams the window catalog part by
+  /// part, building and serializing ONE part's index at a time and
+  /// freeing it before the next, so peak residency is O(part) — not
   /// O(catalog) — while the resulting file is byte-identical to
-  /// Build(...) followed by SaveIndex(path) at any batch size. `gauge`
+  /// Build(...) followed by SaveIndex(path) at any batch size. Only
+  /// k-center cell selection reads the whole catalog first. `gauge`
   /// (optional) is charged with the windows alive in the partial build
-  /// at every step; tests assert its peak stays O(batch + shard).
+  /// at every step; tests assert its peak stays O(batch + part).
   static Status BuildToSnapshot(const SequenceDatabase<T>& db,
                                 const SequenceDistance<T>& dist,
                                 MatcherOptions options,

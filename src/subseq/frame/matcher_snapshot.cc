@@ -6,13 +6,11 @@
 //
 //   catalog.meta          window length + sequence count
 //   catalog.seq_lengths   int32 per sequence (database identity check)
-//   idx.<kind>.top        IndexKind + shard/routing-cell counts of one
-//                         index block
+//   idx.<kind>.top        IndexKind + partition (layout kind, requested
+//                         part count) of one index block
 //   idx.<kind>.*          the index sections: monolithic backend
-//                         sections, the sharded layout followed by
-//                         per-shard backend sections (idx.<kind>.s<s>.*),
-//                         or the routed layout followed by per-cell
-//                         backend sections (idx.<kind>.c<c>.*)
+//                         sections, or the partition layout followed by
+//                         per-part backend sections (idx.<kind>.p<p>.*)
 //
 // Kind tokens (rn / ct / mv / vp / ls) keep blocks of different kinds
 // disjoint, so one file can host several matchers over one catalog (the
@@ -31,8 +29,7 @@
 #include "subseq/exec/peak_gauge.h"
 #include "subseq/frame/matcher.h"
 #include "subseq/metric/linear_scan.h"
-#include "subseq/metric/routed_index.h"
-#include "subseq/metric/sharded_index.h"
+#include "subseq/metric/partitioned_index.h"
 #include "subseq/snapshot/reader.h"
 #include "subseq/snapshot/writer.h"
 
@@ -88,37 +85,38 @@ struct EpochDeltaMetaRec {
 };
 static_assert(sizeof(EpochDeltaMetaRec) == 8);
 
-// "idx.<kind>.top": what one index block holds.
+// "idx.<kind>.top": what one index block holds — the partition the
+// exec knobs resolved to when it was built (parts == 1: monolithic).
 struct IndexBlockMetaRec {
-  int32_t kind = 0;           // static_cast<int32_t>(IndexKind)
-  int32_t num_shards = 0;     // 1 = not contiguously sharded
-  int32_t routing_cells = 0;  // requested routing cells; 1 = not routed
+  int32_t kind = 0;       // static_cast<int32_t>(IndexKind)
+  int32_t partition = 0;  // static_cast<int32_t>(PartitionKind)
+  int32_t parts = 0;      // requested (clamped) part count
   int32_t reserved = 0;
 };
 static_assert(sizeof(IndexBlockMetaRec) == 16);
 
-// Reads an index block's top record, accepting both the current 16-byte
-// layout and the pre-routing 8-byte {kind, num_shards} layout (older
-// files load as unrouted; saving them back upgrades the record).
-Status ReadIndexBlockMeta(const SnapshotFile& file, const std::string& name,
-                          IndexBlockMetaRec* out) {
-  auto view = PodSectionView<int32_t>(file, name);
-  SUBSEQ_RETURN_NOT_OK(view.status());
-  const std::span<const int32_t> v = view.value();
-  if (v.size() != 2 && v.size() != 4) {
-    return Status::InvalidArgument(
-        "snapshot section '" + name + "' holds " +
-        std::to_string(v.size() * sizeof(int32_t)) +
-        " bytes; expected an 8- or 16-byte index block record");
-  }
-  out->kind = v[0];
-  out->num_shards = v[1];
-  out->routing_cells = v.size() == 4 ? v[2] : 1;
-  out->reserved = v.size() == 4 ? v[3] : 0;
-  return Status::OK();
+IndexBlockMetaRec MakeIndexBlockMeta(IndexKind kind,
+                                     const PartitionedIndexOptions& p) {
+  IndexBlockMetaRec top;
+  top.kind = static_cast<int32_t>(kind);
+  top.partition = static_cast<int32_t>(p.kind);
+  top.parts = p.num_parts;
+  return top;
 }
 
-// Serializes one (monolithic or per-shard) inner index of the given
+// "a monolithic index", "a 4-shard index", "a 16-cell routed index".
+std::string DescribePartition(int32_t partition, int32_t parts) {
+  if (parts == 1) return "a monolithic index";
+  if (partition == static_cast<int32_t>(PartitionKind::kContiguous)) {
+    return "a " + std::to_string(parts) + "-shard index";
+  }
+  if (partition == static_cast<int32_t>(PartitionKind::kKCenter)) {
+    return "a " + std::to_string(parts) + "-cell routed index";
+  }
+  return "an index of unknown partition kind " + std::to_string(partition);
+}
+
+// Serializes one (monolithic or per-part) inner index of the given
 // kind under `prefix`. The kind comes from the options the index was
 // built with; a cast failure means the snapshot code and the build code
 // disagree about what Build produced — an internal bug, not bad input.
@@ -195,23 +193,33 @@ Result<std::unique_ptr<RangeIndex>> LoadInnerSections(
   return Status::InvalidArgument("unknown IndexKind");
 }
 
-// First parent id of shard s under the even contiguous split of n
-// objects into k shards (first n % k shards one object larger) — the
-// split ShardedIndex::Build uses and LoadSections re-verifies.
-int32_t SplitBegin(int32_t n, int32_t k, int32_t s) {
-  const int32_t base = n / k;
-  const int32_t extra = n % k;
-  return s * base + std::min(s, extra);
+// The index block under `prefix`: one backend of options.index_kind, or
+// the partition layout followed by one backend per part.
+Result<std::unique_ptr<RangeIndex>> LoadBaseIndex(
+    const std::shared_ptr<const SnapshotFile>& file,
+    const std::string& prefix, const DistanceOracle& oracle,
+    const MatcherOptions& options, const PartitionedIndexOptions& partition) {
+  if (partition.num_parts <= 1) {
+    return LoadInnerSections(file, prefix, oracle, options);
+  }
+  auto loaded = PartitionedIndex::LoadSections(
+      *file, prefix, oracle, partition,
+      [&file, &options](const SnapshotFile&, const std::string& part_prefix,
+                        const DistanceOracle& part_oracle, int32_t) {
+        return LoadInnerSections(file, part_prefix, part_oracle, options);
+      });
+  SUBSEQ_RETURN_NOT_OK(loaded.status());
+  return std::unique_ptr<RangeIndex>(std::move(loaded).ValueOrDie());
 }
 
 // The out-of-core cousin of matcher.cc's BuildKindIndex: builds one
-// shard's inner index, charging `gauge` as windows become resident.
+// part's inner index, charging `gauge` as windows become resident.
 // Insertion-built backends (reference net, cover tree) stage ascending
 // ids in `batch_windows`-sized batches — the id order, and so the built
 // structure, is identical at every batch size. Table-built backends
-// materialize the whole shard in their constructor, so the shard is
+// materialize the whole part in their constructor, so the part is
 // charged up front.
-Result<std::unique_ptr<RangeIndex>> BuildShardBatched(
+Result<std::unique_ptr<RangeIndex>> BuildPartBatched(
     const DistanceOracle& oracle, const MatcherOptions& options,
     int32_t batch_windows, ResidencyGauge* gauge) {
   const int32_t n = oracle.size();
@@ -309,27 +317,24 @@ Status SubsequenceMatcher<T>::SaveIndexSections(SnapshotWriter& writer) const {
   const IndexKind kind = options_.index_kind;
   const std::string prefix = IndexPrefix(kind);
   const RangeIndex* index = base_->index.get();
-  const auto* sharded = dynamic_cast<const ShardedIndex*>(index);
-  const auto* routed = dynamic_cast<const RoutedIndex*>(index);
-
-  IndexBlockMetaRec top;
-  top.kind = static_cast<int32_t>(kind);
-  top.num_shards = sharded != nullptr ? sharded->num_shards() : 1;
-  top.routing_cells = routed != nullptr ? routed->requested_cells() : 1;
-  SUBSEQ_RETURN_NOT_OK(writer.AppendPodStruct(prefix + "top", top));
-
-  const ShardIndexSaver inner_saver =
+  const auto* partitioned = dynamic_cast<const PartitionedIndex*>(index);
+  PartitionedIndexOptions partition;
+  partition.num_parts = 1;
+  if (partitioned != nullptr) {
+    partition.kind = partitioned->layout().kind;
+    partition.num_parts = partitioned->layout().requested_parts;
+  }
+  SUBSEQ_RETURN_NOT_OK(writer.AppendPodStruct(
+      prefix + "top", MakeIndexBlockMeta(kind, partition)));
+  if (partitioned == nullptr) {
+    return SaveInnerSections(*index, kind, writer, prefix);
+  }
+  return partitioned->SaveSections(
+      writer, prefix,
       [kind](const RangeIndex& inner, SnapshotWriter& w,
              const std::string& inner_prefix) {
         return SaveInnerSections(inner, kind, w, inner_prefix);
-      };
-  if (sharded != nullptr) {
-    return sharded->SaveSections(writer, prefix, inner_saver);
-  }
-  if (routed != nullptr) {
-    return routed->SaveSections(writer, prefix, inner_saver);
-  }
-  return SaveInnerSections(*index, kind, writer, prefix);
+      });
 }
 
 template <typename T>
@@ -469,54 +474,28 @@ SubsequenceMatcher<T>::LoadIndexFrom(const SequenceDatabase<T>& db,
         "'); it was saved under a different index_kind");
   }
   IndexBlockMetaRec top;
-  SUBSEQ_RETURN_NOT_OK(ReadIndexBlockMeta(*file, top_name, &top));
+  SUBSEQ_RETURN_NOT_OK(ReadPodStruct(*file, top_name, &top));
   if (top.kind != static_cast<int32_t>(resolved.index_kind)) {
     return Status::InvalidArgument(
         "snapshot '" + file->path() + "' section '" + top_name +
         "' records kind " + std::to_string(top.kind) +
         ", which contradicts its own name — the file is corrupted");
   }
-  if (top.num_shards < 1) {
-    return Status::InvalidArgument(
-        "snapshot '" + file->path() + "' section '" + top_name +
-        "' records " + std::to_string(top.num_shards) +
-        " shards; at least 1 is required");
-  }
-  if (top.routing_cells < 1) {
-    return Status::InvalidArgument(
-        "snapshot '" + file->path() + "' section '" + top_name +
-        "' records " + std::to_string(top.routing_cells) +
-        " routing cells; at least 1 is required");
-  }
-  if (top.num_shards > 1 && top.routing_cells > 1) {
-    return Status::InvalidArgument(
-        "snapshot '" + file->path() + "' section '" + top_name +
-        "' records an index both sharded and routed — the strategies are "
-        "mutually exclusive, so the file is corrupted");
-  }
-  // Shard / cell counts resolve against the BASE width: the saved index
-  // was built when the catalog held base_windows windows, so that is the
+  // The partition resolves against the BASE width: the saved index was
+  // built when the catalog held base_windows windows, so that is the
   // object count its layout was resolved over.
-  const int32_t expected_shards =
-      resolved.exec.ResolvedShards(epoch.base_windows);
-  if (top.num_shards != expected_shards) {
+  const PartitionedIndexOptions partition =
+      ResolvePartition(resolved.exec, epoch.base_windows);
+  if (top.partition != static_cast<int32_t>(partition.kind) ||
+      top.parts != partition.num_parts) {
     return Status::InvalidArgument(
-        "snapshot '" + file->path() + "' holds a " +
-        std::to_string(top.num_shards) + "-shard index but the options "
-        "resolve to " + std::to_string(expected_shards) +
-        " shards; set exec.num_shards = " + std::to_string(top.num_shards) +
-        " — a loaded index must equal the fresh build it replaces");
-  }
-  const int32_t expected_cells =
-      resolved.exec.ResolvedCells(epoch.base_windows);
-  if (top.routing_cells != expected_cells) {
-    return Status::InvalidArgument(
-        "snapshot '" + file->path() + "' holds a " +
-        std::to_string(top.routing_cells) + "-cell routed index but the "
-        "options resolve to " + std::to_string(expected_cells) +
-        " cells; set exec.routing_cells = " +
-        std::to_string(top.routing_cells) +
-        " — a loaded index must equal the fresh build it replaces");
+        "snapshot '" + file->path() + "' holds " +
+        DescribePartition(top.partition, top.parts) +
+        " but the options resolve to " +
+        DescribePartition(static_cast<int32_t>(partition.kind),
+                          partition.num_parts) +
+        "; set exec.num_shards / exec.routing_cells as they were at save "
+        "time — a loaded index must equal the fresh build it replaces");
   }
 
   // A mid-ingest snapshot's base index covers only the first
@@ -531,29 +510,12 @@ SubsequenceMatcher<T>::LoadIndexFrom(const SequenceDatabase<T>& db,
     load_oracle = prefix_oracle.get();
   }
 
-  const ShardIndexLoader inner_loader =
-      [&file, &resolved](const SnapshotFile&, const std::string& sp,
-                         const DistanceOracle& inner_oracle, int32_t) {
-        return LoadInnerSections(file, sp, inner_oracle, resolved);
-      };
-  std::unique_ptr<RangeIndex> index;
-  if (top.num_shards > 1) {
-    auto sharded = ShardedIndex::LoadSections(
-        *file, prefix, *load_oracle, expected_shards, inner_loader);
-    SUBSEQ_RETURN_NOT_OK(sharded.status());
-    index = std::move(sharded).ValueOrDie();
-  } else if (top.routing_cells > 1) {
-    auto routed = RoutedIndex::LoadSections(
-        *file, prefix, *load_oracle, expected_cells, inner_loader);
-    SUBSEQ_RETURN_NOT_OK(routed.status());
-    index = std::move(routed).ValueOrDie();
-  } else {
-    auto inner = LoadInnerSections(file, prefix, *load_oracle, resolved);
-    SUBSEQ_RETURN_NOT_OK(inner.status());
-    index = std::move(inner).ValueOrDie();
-  }
-  matcher->AdoptBase(std::move(index), std::move(prefix_oracle),
-                     std::move(file), epoch.base_windows);
+  auto index =
+      LoadBaseIndex(file, prefix, *load_oracle, resolved, partition);
+  SUBSEQ_RETURN_NOT_OK(index.status());
+  matcher->AdoptBase(std::move(index).ValueOrDie(),
+                     std::move(prefix_oracle), std::move(file),
+                     epoch.base_windows);
   return matcher;
 }
 
@@ -581,7 +543,7 @@ Status SubsequenceMatcher<T>::BuildToSnapshot(
   if (build.batch_windows < 0) {
     return Status::InvalidArgument(
         "SnapshotBuildOptions.batch_windows must be >= 0 (0 = one batch "
-        "per shard)");
+        "per part)");
   }
 
   auto writer = SnapshotWriter::Create(path);
@@ -591,67 +553,45 @@ Status SubsequenceMatcher<T>::BuildToSnapshot(
 
   const IndexKind kind = resolved.index_kind;
   const std::string prefix = IndexPrefix(kind);
-  const int32_t n = matcher->oracle_->size();
-  const int32_t k = resolved.exec.ResolvedShards(n);
-  const int32_t cells = resolved.exec.ResolvedCells(n);
+  const DistanceOracle& oracle = *matcher->oracle_;
+  const int32_t n = oracle.size();
+  const PartitionedIndexOptions partition =
+      ResolvePartition(resolved.exec, n);
+  SUBSEQ_RETURN_NOT_OK(
+      w.AppendPodStruct(prefix + "top", MakeIndexBlockMeta(kind, partition)));
 
-  IndexBlockMetaRec top;
-  top.kind = static_cast<int32_t>(kind);
-  top.num_shards = k;
-  top.routing_cells = cells;
-  SUBSEQ_RETURN_NOT_OK(w.AppendPodStruct(prefix + "top", top));
-
-  if (cells > 1) {
-    // Routed: the pivot-selection pass reads the whole catalog (charged
-    // to the gauge up front — routing cannot stream that decision), but
-    // the inner indexes build and serialize ONE CELL AT A TIME, so peak
-    // residency past selection is a single cell. The layout and the
-    // per-cell builds are exactly what RoutedIndex::Build computes, so
-    // the file is byte-identical to Build(...) + SaveIndex(path).
-    if (gauge != nullptr) gauge->Acquire(n);
-    const RoutedLayout layout =
-        RoutedIndex::ComputeLayout(*matcher->oracle_, cells, resolved.exec);
-    if (gauge != nullptr) gauge->Release(n);
-    SUBSEQ_RETURN_NOT_OK(RoutedIndex::SaveLayoutSections(layout, w, prefix));
-    const int32_t actual = static_cast<int32_t>(layout.pivots.size());
-    for (int32_t c = 0; c < actual; ++c) {
-      const int32_t begin = layout.begins[static_cast<size_t>(c)];
-      const int32_t size = layout.begins[static_cast<size_t>(c) + 1] - begin;
-      const CellOracle cell_oracle(*matcher->oracle_,
-                                   layout.members.data() + begin, size);
-      auto inner = BuildShardBatched(cell_oracle, resolved,
-                                     build.batch_windows, gauge);
-      SUBSEQ_RETURN_NOT_OK(inner.status());
-      SUBSEQ_RETURN_NOT_OK(SaveInnerSections(
-          *inner.value(), kind, w, RoutedIndex::CellPrefix(prefix, c)));
-      std::move(inner).ValueOrDie().reset();
-      if (gauge != nullptr) gauge->Release(size);
-    }
-  } else if (k > 1) {
-    SUBSEQ_RETURN_NOT_OK(ShardedIndex::WriteShardLayout(w, prefix, n, k));
-    for (int32_t s = 0; s < k; ++s) {
-      const int32_t begin = SplitBegin(n, k, s);
-      const int32_t size = SplitBegin(n, k, s + 1) - begin;
-      // One shard alive at a time: build, serialize, free — the whole
-      // point of the streamed path. The ShardOracle view reproduces
-      // exactly what ShardedIndex::Build hands its factory, so the
-      // shard's sections are byte-identical to the in-core save.
-      const ShardOracle shard_oracle(*matcher->oracle_, begin, size);
-      auto inner = BuildShardBatched(shard_oracle, resolved,
-                                     build.batch_windows, gauge);
-      SUBSEQ_RETURN_NOT_OK(inner.status());
-      SUBSEQ_RETURN_NOT_OK(SaveInnerSections(
-          *inner.value(), kind, w, ShardedIndex::ShardPrefix(prefix, s)));
-      std::move(inner).ValueOrDie().reset();
-      if (gauge != nullptr) gauge->Release(size);
-    }
-  } else {
-    auto inner = BuildShardBatched(*matcher->oracle_, resolved,
-                                   build.batch_windows, gauge);
+  // One part alive at a time: build, serialize, free — the whole point
+  // of the streamed path. The part views reproduce exactly what
+  // PartitionedIndex::Build hands its factory, so every part's sections
+  // are byte-identical to the in-core save.
+  const auto build_and_save = [&](const DistanceOracle& part_oracle,
+                                  const std::string& part_prefix) {
+    auto inner = BuildPartBatched(part_oracle, resolved, build.batch_windows,
+                                  gauge);
     SUBSEQ_RETURN_NOT_OK(inner.status());
-    SUBSEQ_RETURN_NOT_OK(SaveInnerSections(*inner.value(), kind, w, prefix));
+    SUBSEQ_RETURN_NOT_OK(
+        SaveInnerSections(*inner.value(), kind, w, part_prefix));
     std::move(inner).ValueOrDie().reset();
-    if (gauge != nullptr) gauge->Release(n);
+    if (gauge != nullptr) gauge->Release(part_oracle.size());
+    return Status::OK();
+  };
+  if (partition.num_parts <= 1) {
+    SUBSEQ_RETURN_NOT_OK(build_and_save(oracle, prefix));
+    return w.Finish();
+  }
+  // k-center selection reads the whole catalog (charged up front — that
+  // decision cannot stream); a contiguous split reads nothing.
+  const bool whole_catalog = partition.kind == PartitionKind::kKCenter;
+  if (gauge != nullptr && whole_catalog) gauge->Acquire(n);
+  const PartitionLayout layout = PartitionLayout::Make(
+      oracle, partition.kind, partition.num_parts, resolved.exec);
+  if (gauge != nullptr && whole_catalog) gauge->Release(n);
+  SUBSEQ_RETURN_NOT_OK(
+      PartitionedIndex::SaveLayoutSections(layout, w, prefix));
+  for (int32_t p = 0; p < layout.num_parts(); ++p) {
+    SUBSEQ_RETURN_NOT_OK(
+        build_and_save(PartOracle(oracle, layout, p),
+                       PartitionedIndex::PartPrefix(prefix, p)));
   }
   return w.Finish();
 }

@@ -152,20 +152,14 @@ std::vector<std::vector<ObjectId>> LinearScan::BatchRangeQuery(
           parts_stages[static_cast<size_t>(c)].envelope_pruned;
       stages.erp_pruned += parts_stages[static_cast<size_t>(c)].erp_pruned;
     }
-    if (per_query != nullptr) {
-      per_query[q].distance_computations = num_objects_;
-      per_query[q].result_count = static_cast<int64_t>(merged.size());
-      per_query[q].lower_bound_pruned = pruned;
-      per_query[q].lb_kim_pruned = stages.kim_pruned;
-      per_query[q].lb_erp_pruned = stages.erp_pruned;
-    }
-    if (sink != nullptr) {
-      sink->AddDistanceComputations(num_objects_);
-      sink->AddResults(static_cast<int64_t>(merged.size()));
-      sink->AddLowerBoundPruned(pruned);
-      sink->AddLbKimPruned(stages.kim_pruned);
-      sink->AddLbErpPruned(stages.erp_pruned);
-    }
+    QueryStats stats;
+    stats.distance_computations = num_objects_;
+    stats.result_count = static_cast<int64_t>(merged.size());
+    stats.lower_bound_pruned = pruned;
+    stats.lb_kim_pruned = stages.kim_pruned;
+    stats.lb_erp_pruned = stages.erp_pruned;
+    if (per_query != nullptr) per_query[q] = stats;
+    if (sink != nullptr) sink->Add(stats);
   }
   return results;
 }

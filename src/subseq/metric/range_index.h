@@ -44,11 +44,11 @@ struct QueryStats {
   /// Of lower_bound_pruned, candidates cut by the |sum(Q) - sum(C)|
   /// ERP sum bound (ERP cascade only; 0 elsewhere).
   int64_t lb_erp_pruned = 0;
-  /// Routed-index cells this query was fanned into (RoutedIndex only;
-  /// 0 elsewhere). The routing distance of every cell — probed or not —
-  /// is billed in distance_computations.
+  /// k-center cells this query was fanned into (a PartitionedIndex with
+  /// a k-center layout only; 0 elsewhere). The routing distance of
+  /// every cell — probed or not — is billed in distance_computations.
   int64_t cells_probed = 0;
-  /// Routed-index cells the triangle inequality proved empty of hits,
+  /// k-center cells the triangle inequality proved empty of hits,
   /// whose members were therefore neither evaluated NOR billed. This is
   /// the one sanctioned departure from the billing invariants above:
   /// routing exists to shrink distance_computations, and
@@ -67,6 +67,10 @@ struct QueryStats {
   /// window: the mask itself is not billed, and this counter makes the
   /// masking decisions observable and deterministic.
   int64_t tombstones_masked = 0;
+
+  /// Adds every counter of `other` — with StatsSink::Add, the one place
+  /// that lists the counters for a roll-up.
+  QueryStats& operator+=(const QueryStats& other);
 };
 
 /// Index construction accounting.
@@ -135,10 +139,10 @@ class RangeIndex {
   ///    a batch do not share or amortize distance computations. This slot
   ///    addressing is checked, not just documented: the default
   ///    implementation CHECKs that per_query[i].result_count equals
-  ///    results[i]'s size, and ShardedIndex re-CHECKs the invariant when
-  ///    rolling inner splits up — so downstream consumers (MatchServer
-  ///    billing, the per-shard roll-up) can rely on the split being
-  ///    exact. Overrides must preserve the same invariant.
+  ///    results[i]'s size, and PartitionedIndex re-CHECKs the invariant
+  ///    when rolling inner splits up — so downstream consumers
+  ///    (MatchServer billing, the per-part roll-up) can rely on the split
+  ///    being exact. Overrides must preserve the same invariant.
   ///
   /// The default implementation fans the batch out over exec's thread
   /// budget in contiguous index-ordered chunks. `sink` (optional)

@@ -102,9 +102,10 @@ class ReferenceNet final : public RangeIndex {
   /// Level of the root node (diagnostics).
   int32_t root_level() const;
 
-  /// A structure-only snapshot of one node, used by save/load
-  /// (metric/serialization.h). Children are referenced by *object id*,
-  /// making the snapshot independent of internal node indices.
+  /// A structure-only snapshot of one node, used by the snapshot
+  /// sections (SaveSections / LoadSections). Children are referenced by
+  /// *object id*, making the export independent of internal node
+  /// indices.
   struct ExportedNode {
     ObjectId object = kInvalidId;
     int32_t top_level = 0;
@@ -125,9 +126,9 @@ class ReferenceNet final : public RangeIndex {
                                      const std::vector<ExportedNode>& nodes);
 
   /// Appends this net's binary snapshot sections ("<prefix>meta",
-  /// "nodes", "dups", "edges") to `writer` — the flat-POD counterpart
-  /// of the text dump in metric/serialization.h. Canonical: re-saving a
-  /// loaded net reproduces the bytes exactly.
+  /// "nodes", "dups", "edges") to `writer` — Export() flattened into
+  /// POD arrays. Canonical: re-saving a loaded net reproduces the bytes
+  /// exactly.
   Status SaveSections(SnapshotWriter& writer, const std::string& prefix) const;
 
   /// Reconstructs a net from binary snapshot sections via Import() (all

@@ -20,8 +20,8 @@
 //   +--------------------+  total file size, footer magic "SNAPFOOT"
 //
 // The section table lives in the *footer*, not the header, so a writer
-// can stream sections of unknown size (out-of-core shard-by-shard
-// builds) without seeking back; the per-shard section offsets the
+// can stream sections of unknown size (out-of-core part-by-part
+// builds) without seeking back; the per-part section offsets the
 // loader needs are exactly the table entries. Encoding is canonical:
 // the same logical content always produces the same bytes (no
 // timestamps, zeroed padding and struct holes), so save -> load -> save
@@ -53,8 +53,9 @@ inline constexpr uint64_t kSnapshotMagic = 0x3150414E53425553ULL;
 inline constexpr uint64_t kSnapshotFooterMagic = 0x544F4F4650414E53ULL;
 
 /// Bumped on any incompatible layout change. Readers reject files with
-/// a different version instead of guessing.
-inline constexpr uint32_t kSnapshotFormatVersion = 1;
+/// a different version instead of guessing. Version 2 is the first
+/// with the single partition block (metric/partitioned_index.h).
+inline constexpr uint32_t kSnapshotFormatVersion = 2;
 
 /// Every section payload starts on an 8-byte boundary (so double/int64
 /// arrays can be aliased directly out of the mapping) and is zero-padded

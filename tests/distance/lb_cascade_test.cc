@@ -34,7 +34,7 @@
 #include "subseq/frame/windowing.h"
 #include "subseq/metric/linear_scan.h"
 #include "subseq/metric/oracle.h"
-#include "subseq/metric/routed_index.h"
+#include "subseq/metric/partitioned_index.h"
 #include "testing/helpers.h"
 
 namespace subseq {
@@ -463,9 +463,10 @@ TEST_F(CascadeRoutedTest, RebindingKeepsPruningLiveInsideProbedCells) {
   Init(/*seed=*/99, /*num_seqs=*/6, /*seq_len=*/80, /*l=*/8);
   const ErpDistance1D erp;  // routing needs a metric distance
   const WindowOracle<double> oracle(db_, *catalog_, erp);
-  RoutedIndexOptions options;
-  options.num_cells = 4;
-  auto routed = RoutedIndex::Build(
+  PartitionedIndexOptions options;
+  options.kind = PartitionKind::kKCenter;
+  options.num_parts = 4;
+  auto routed = PartitionedIndex::Build(
       oracle,
       [](const DistanceOracle& cell_oracle, int32_t) {
         return Result<std::unique_ptr<RangeIndex>>(
@@ -502,9 +503,10 @@ TEST_F(CascadeRoutedTest, BatchedEvaluatorRidesThroughCellMemberMaps) {
   Init(/*seed=*/103, /*num_seqs=*/24, /*seq_len=*/120, /*l=*/8);
   const ErpDistance1D erp;
   const WindowOracle<double> oracle(db_, *catalog_, erp);
-  RoutedIndexOptions options;
-  options.num_cells = 4;
-  auto routed = RoutedIndex::Build(
+  PartitionedIndexOptions options;
+  options.kind = PartitionKind::kKCenter;
+  options.num_parts = 4;
+  auto routed = PartitionedIndex::Build(
       oracle,
       [](const DistanceOracle& cell_oracle, int32_t) {
         return Result<std::unique_ptr<RangeIndex>>(

@@ -21,7 +21,7 @@
 #include "subseq/exec/stats_sink.h"
 #include "subseq/metric/linear_scan.h"
 #include "subseq/metric/oracle.h"
-#include "subseq/metric/sharded_index.h"
+#include "subseq/metric/partitioned_index.h"
 #include "testing/helpers.h"
 
 namespace subseq {
@@ -212,9 +212,9 @@ TEST(PrefilterTest, ShardedMatchesMonolithic) {
   const int64_t mono_executed = f.executed->exchange(0);
 
   const ScalarPointOracle oracle(*f.points);
-  ShardedIndexOptions options;
-  options.num_shards = 4;
-  auto sharded = ShardedIndex::Build(
+  PartitionedIndexOptions options;
+  options.num_parts = 4;
+  auto sharded = PartitionedIndex::Build(
       oracle,
       [](const DistanceOracle& shard_oracle, int32_t) {
         return Result<std::unique_ptr<RangeIndex>>(
@@ -355,9 +355,9 @@ TEST(PrefilterTest, BatchedEvaluatorRidesThroughShardAndOffsetRemaps) {
     const std::vector<int64_t> want_calls = Snapshot(f.per_id.get());
 
     const ScalarPointOracle oracle(*f.points);
-    ShardedIndexOptions options;
-    options.num_shards = 3;  // 134 + 133 + 133 ids: no shard is block-aligned
-    auto sharded = ShardedIndex::Build(
+    PartitionedIndexOptions options;
+    options.num_parts = 3;  // 134 + 133 + 133 ids: no shard is block-aligned
+    auto sharded = PartitionedIndex::Build(
         oracle,
         [](const DistanceOracle& shard_oracle, int32_t) {
           return Result<std::unique_ptr<RangeIndex>>(

@@ -214,15 +214,21 @@ TEST_F(SnapshotCorruptionTest, WrongMagicIsCaught) {
 }
 
 TEST_F(SnapshotCorruptionTest, WrongFormatVersionIsCaught) {
-  std::vector<uint8_t> copy = *bytes_;
-  SnapshotHeader header;
-  std::memcpy(&header, copy.data(), sizeof(header));
-  header.format_version = 99;
-  std::memcpy(copy.data(), &header, sizeof(header));
+  // Version 1 predates the single partition block; 99 is from the future.
   const std::string mutated = TempPath("corruption_version.snap");
-  WriteFileBytes(mutated, copy);
-  ExpectOpenFails(mutated, "unsupported snapshot format version 99",
-                  "future format version");
+  for (const uint32_t version : {1u, 99u}) {
+    std::vector<uint8_t> copy = *bytes_;
+    SnapshotHeader header;
+    std::memcpy(&header, copy.data(), sizeof(header));
+    header.format_version = version;
+    std::memcpy(copy.data(), &header, sizeof(header));
+    WriteFileBytes(mutated, copy);
+    ExpectOpenFails(mutated,
+                    "unsupported snapshot format version " +
+                        std::to_string(version) +
+                        " (this build reads version 2)",
+                    "format version " + std::to_string(version));
+  }
   std::remove(mutated.c_str());
 }
 

@@ -1,9 +1,10 @@
 // Out-of-core build battery: BuildToSnapshot must (a) emit a file
 // byte-identical to Build + SaveIndex at EVERY batch size — 1, an
-// awkward 7, and 0 (whole shards at once) — for both insertion-built
-// backends, (b) keep peak residency at O(shard), not O(catalog), which
-// the ResidencyGauge proves, and (c) produce a file whose loaded index
-// answers element-wise identically to the fresh build.
+// awkward 7, and 0 (whole parts at once) — for both insertion-built
+// backends over monolithic, contiguous and k-center layouts, (b) keep
+// peak residency at O(shard), not O(catalog), for contiguous layouts,
+// which the ResidencyGauge proves, and (c) produce a file whose loaded
+// index answers element-wise identically to the fresh build.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include <iterator>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "subseq/data/protein_gen.h"
@@ -81,11 +83,14 @@ TEST_F(SnapshotOutOfCoreTest, EveryBatchSizeIsByteIdentical) {
   }
   for (const IndexKind kind :
        {IndexKind::kReferenceNet, IndexKind::kCoverTree}) {
-    for (const int32_t shards : {1, 4}) {
-      const MatcherOptions options = Options(kind, shards);
+    // Monolithic, 4 contiguous shards, and 4 k-center cells.
+    for (const auto& [shards, cells] :
+         {std::pair{1, 0}, std::pair{4, 0}, std::pair{0, 4}}) {
+      MatcherOptions options = Options(kind, shards);
+      options.exec.routing_cells = cells;
       const std::string tag =
           std::to_string(static_cast<int>(kind)) + "_k" +
-          std::to_string(shards);
+          std::to_string(shards) + "_c" + std::to_string(cells);
       const std::vector<char> reference = ReferenceBytes(options, tag);
       for (const int32_t batch : {1, 7, 0}) {
         SCOPED_TRACE("kind " + tag + " batch " + std::to_string(batch));
@@ -99,12 +104,13 @@ TEST_F(SnapshotOutOfCoreTest, EveryBatchSizeIsByteIdentical) {
         EXPECT_EQ(ReadFileBytes(path), reference)
             << "out-of-core snapshot must be byte-identical to "
                "Build + SaveIndex";
-        // Every charged window was released once its shard hit disk.
+        // Every charged window was released once its part hit disk.
         EXPECT_EQ(gauge.current(), 0);
         // Peak residency is exactly the largest shard — the streamed
-        // build never holds more than one shard's windows alive.
-        const int64_t max_shard = (n + shards - 1) / shards;
-        EXPECT_EQ(gauge.peak(), max_shard);
+        // build never holds more than one shard's windows alive. Only
+        // k-center cell selection charges the whole catalog.
+        const int64_t max_part = cells > 1 ? n : (n + shards - 1) / shards;
+        EXPECT_EQ(gauge.peak(), max_part);
         if (shards > 1) {
           EXPECT_LT(gauge.peak(), n)
               << "sharded out-of-core build must stay under O(catalog)";

@@ -1,18 +1,32 @@
-// Regression battery for the reference-net load-time edge spot-check.
-// The old check verified only the FIRST 16 exported edges against the
-// oracle, so a corrupted edge anywhere past the head of the export
-// sailed through. The check now verifies every edge on small nets
-// (<= 256 edges) and a deterministic seeded sample on large ones. The
-// tests here plant exactly one bad edge deep in the export and require
-// Import to reject it.
+// The reference net's Export -> Import path, which its snapshot
+// sections ride on (SaveSections flattens Export(); LoadSections feeds
+// Import()).
+//
+// SnapshotRefNetSpotCheckTest is the regression battery for the
+// load-time edge spot-check. The old check verified only the FIRST 16
+// exported edges against the oracle, so a corrupted edge anywhere past
+// the head of the export sailed through. The check now verifies every
+// edge on small nets (<= 256 edges) and a deterministic seeded sample on
+// large ones. The tests plant exactly one bad edge deep in the export
+// and require Import to reject it.
+//
+// SerializationTest feeds the round trip further inputs: an empty net,
+// duplicates with non-default options, protein windows, an imported net
+// that keeps growing and shrinking, and a dataset that no longer matches
+// the export.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <random>
 #include <tuple>
 #include <vector>
 
+#include "subseq/core/rng.h"
+#include "subseq/data/protein_gen.h"
+#include "subseq/distance/levenshtein.h"
+#include "subseq/frame/window_oracle.h"
 #include "subseq/metric/reference_net.h"
 #include "testing/helpers.h"
 
@@ -104,6 +118,119 @@ TEST(SnapshotRefNetSpotCheckTest, LargeNetSampleIsDeterministic) {
   ASSERT_TRUE(first.ok()) << first.status().message();
   ASSERT_TRUE(second.ok()) << second.status().message();
   EXPECT_EQ(first.value().size(), second.value().size());
+}
+
+// ---------------------------------------------------------------------------
+// Export -> Import round trips.
+
+std::vector<double> RandomPoints(uint64_t seed, int n) {
+  Rng rng(seed);
+  std::vector<double> pts;
+  for (int i = 0; i < n; ++i) pts.push_back(rng.NextDouble(0.0, 80.0));
+  return pts;
+}
+
+/// Export -> Import over `oracle`: the import must succeed, re-export
+/// field for field, keep the options, and pass the structural
+/// invariants.
+ReferenceNet RoundTrip(const ReferenceNet& net, const DistanceOracle& oracle) {
+  const auto exported = net.Export();
+  auto imported = ReferenceNet::Import(oracle, net.options(), exported);
+  EXPECT_TRUE(imported.ok()) << imported.status().message();
+  ReferenceNet out = std::move(imported).ValueOrDie();
+  EXPECT_EQ(out.size(), net.size());
+  EXPECT_EQ(out.options().base_radius, net.options().base_radius);
+  EXPECT_EQ(out.options().max_parents, net.options().max_parents);
+  const auto again = out.Export();
+  EXPECT_EQ(again.size(), exported.size());
+  for (size_t i = 0; i < std::min(again.size(), exported.size()); ++i) {
+    EXPECT_EQ(again[i].object, exported[i].object);
+    EXPECT_EQ(again[i].top_level, exported[i].top_level);
+    EXPECT_EQ(again[i].duplicates, exported[i].duplicates);
+    EXPECT_EQ(again[i].edges, exported[i].edges);
+  }
+  EXPECT_FALSE(out.CheckInvariants().has_value());
+  return out;
+}
+
+TEST(SerializationTest, RoundTripPreservesQueries) {
+  const ScalarPointOracle oracle(RandomPoints(1, 150));
+  const ReferenceNet original = ReferenceNet::BuildAll(oracle);
+  const ReferenceNet loaded = RoundTrip(original, oracle);
+  Rng rng(2);
+  for (int q = 0; q < 20; ++q) {
+    const double query_point = rng.NextDouble(0.0, 80.0);
+    const double eps = rng.NextDouble(0.0, 10.0);
+    auto expected =
+        original.RangeQuery(oracle.QueryFrom(query_point), eps, nullptr);
+    auto actual = loaded.RangeQuery(oracle.QueryFrom(query_point), eps,
+                                    nullptr);
+    std::sort(expected.begin(), expected.end());
+    std::sort(actual.begin(), actual.end());
+    EXPECT_EQ(actual, expected);
+  }
+}
+
+TEST(SerializationTest, RoundTripWithDuplicatesAndOptions) {
+  std::vector<double> pts = RandomPoints(3, 80);
+  pts.push_back(pts[0]);
+  pts.push_back(pts[0]);
+  const ScalarPointOracle oracle(pts);
+  ReferenceNetOptions options;
+  options.base_radius = 0.5;
+  options.max_parents = 3;
+  const ReferenceNet original = ReferenceNet::BuildAll(oracle, options);
+  const ReferenceNet loaded = RoundTrip(original, oracle);
+  EXPECT_EQ(loaded.options().base_radius, 0.5);
+  EXPECT_EQ(loaded.options().max_parents, 3);
+}
+
+TEST(SerializationTest, RoundTripOnProteinWindows) {
+  ProteinGenerator gen(ProteinGenOptions{.mean_length = 100, .seed = 5});
+  const auto db = gen.GenerateDatabaseWithWindows(120, 10);
+  auto catalog = WindowCatalog::PartitionDatabase(db, 10);
+  ASSERT_TRUE(catalog.ok());
+  const LevenshteinDistance<char> dist;
+  const WindowOracle<char> oracle(db, catalog.value(), dist);
+  const ReferenceNet loaded =
+      RoundTrip(ReferenceNet::BuildAll(oracle), oracle);
+  // Importing costs zero build distance computations.
+  EXPECT_EQ(loaded.build_stats().distance_computations, 0);
+}
+
+TEST(SerializationTest, EmptyNetRoundTrips) {
+  const ScalarPointOracle oracle({});
+  const ReferenceNet net(oracle);
+  EXPECT_EQ(RoundTrip(net, oracle).size(), 0);
+}
+
+TEST(SerializationTest, RejectsWrongDataset) {
+  // Export against one dataset, import against the points reversed: the
+  // edge distance spot-check must catch the mismatch.
+  const auto pts = RandomPoints(7, 100);
+  const ScalarPointOracle oracle(pts);
+  const ReferenceNet net = ReferenceNet::BuildAll(oracle);
+  const ScalarPointOracle other(std::vector<double>(pts.rbegin(), pts.rend()));
+  const auto imported =
+      ReferenceNet::Import(other, net.options(), net.Export());
+  EXPECT_EQ(imported.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(SerializationTest, LoadedNetSupportsInsertAndDelete) {
+  const ScalarPointOracle oracle(RandomPoints(11, 100));
+  ReferenceNet original(oracle);
+  for (ObjectId id = 0; id < 80; ++id) {
+    ASSERT_TRUE(original.Insert(id).ok());
+  }
+  ReferenceNet loaded = RoundTrip(original, oracle);
+  // Keep inserting the remaining objects and delete a few.
+  for (ObjectId id = 80; id < 100; ++id) {
+    ASSERT_TRUE(loaded.Insert(id).ok());
+  }
+  ASSERT_TRUE(loaded.Delete(5).ok());
+  ASSERT_TRUE(loaded.Delete(50).ok());
+  EXPECT_EQ(loaded.size(), 98);
+  EXPECT_FALSE(loaded.CheckInvariants().has_value());
 }
 
 }  // namespace
