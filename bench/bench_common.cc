@@ -6,6 +6,7 @@
 
 #include "subseq/core/check.h"
 #include "subseq/data/motif.h"
+#include "subseq/distance/simd/cpu_features.h"
 #include "subseq/metric/cover_tree.h"
 #include "subseq/metric/linear_scan.h"
 #include "subseq/metric/mv_index.h"
@@ -188,6 +189,9 @@ bool WriteBenchJson(const std::string& path, const std::string& benchmark,
   if (f == nullptr) return false;
   std::fprintf(f, "{\n  \"benchmark\": \"%s\",\n  \"scale\": \"%s\",\n",
                EscapeJson(benchmark).c_str(), FullScale() ? "full" : "ci");
+  std::fprintf(f, "  \"nproc\": %d,\n  \"simd\": \"%s\",\n",
+               ResolveHardwareConcurrency(),
+               simd::SimdLevelName(simd::ActiveSimdLevel()));
   std::fprintf(f, "  \"records\": [\n");
   for (size_t i = 0; i < records.size(); ++i) {
     const BenchRecord& r = records[i];

@@ -102,9 +102,11 @@ struct BenchRecord {
   std::vector<std::pair<std::string, double>> metrics;
 };
 
-/// Writes `{"benchmark": ..., "scale": ..., "records": [...]}` to `path`
-/// (the machine-readable counterpart of the printed tables). Returns
-/// false if the file cannot be written.
+/// Writes `{"benchmark": ..., "scale": ..., "nproc": ..., "simd": ...,
+/// "records": [...]}` to `path` (the machine-readable counterpart of the
+/// printed tables), stamped with the hardware thread count and the active
+/// SIMD dispatch level so a ratio can be read against the machine.
+/// Returns false if the file cannot be written.
 bool WriteBenchJson(const std::string& path, const std::string& benchmark,
                     const std::vector<BenchRecord>& records);
 

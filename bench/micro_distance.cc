@@ -75,6 +75,23 @@ void BM_Levenshtein(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 
+// The row DP on the same strings: the double instance never takes the
+// char instance's bit-parallel kernel, so BM_Levenshtein over this row is
+// the kernel's speedup, and the 64/65 arguments straddle its dispatch
+// boundary (the shorter operand at most 64 long).
+void BM_LevenshteinDp(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const auto a = MakeString(n, 3);
+  const auto b = MakeString(n, 4);
+  const std::vector<double> wide_a(a.begin(), a.end());
+  const std::vector<double> wide_b(b.begin(), b.end());
+  LevenshteinDistance<double> d;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(d.Compute(wide_a, wide_b));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
 void BM_LevenshteinBounded(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const double bound = static_cast<double>(state.range(1));
@@ -212,7 +229,8 @@ BENCHMARK(BM_Erp)->Arg(20)->Arg(50)->Arg(100);
 BENCHMARK(BM_Dtw)->Arg(20)->Arg(50)->Arg(100);
 BENCHMARK(BM_Frechet)->Arg(20)->Arg(50)->Arg(100);
 BENCHMARK(BM_Euclidean)->Arg(20)->Arg(100)->Arg(1000);
-BENCHMARK(BM_Levenshtein)->Arg(20)->Arg(50)->Arg(100);
+BENCHMARK(BM_Levenshtein)->Arg(20)->Arg(50)->Arg(64)->Arg(65)->Arg(100);
+BENCHMARK(BM_LevenshteinDp)->Arg(20)->Arg(50)->Arg(64)->Arg(65)->Arg(100);
 BENCHMARK(BM_LevenshteinBounded)
     ->Args({20, 2})
     ->Args({20, 8})

@@ -1,7 +1,8 @@
 // Thread-scaling of the execution layer: index construction and batched
 // range queries on PROTEINS / Levenshtein at 1/2/4/8 threads, plus a
 // shard sweep of the PartitionedIndex (1/2/4/8 contiguous shards of the
-// same catalog behind per-shard reference nets).
+// same catalog behind per-shard reference nets), and the Levenshtein
+// bit-parallel kernel against the row DP on the same windows.
 //
 // Prints a table and writes BENCH_parallel_scaling.json (machine-readable,
 // consumed by CI trend tooling and gated by tools/bench_check.py). Also
@@ -710,6 +711,59 @@ int Run() {
            {"antidiag_waves_ms", waves_ms},
            {"antidiag_speedup", antidiag_speedup}}});
     }
+  }
+
+  // ------------------------------------------- Levenshtein kernel
+  // Every PROTEINS query against every window, through the char instance
+  // (the bit-parallel kernel at these lengths) and through the double
+  // instance (the row DP) on the same bytes widened. Values are CHECKed
+  // equal; the gated ratio is DP time over kernel time, each the best of
+  // interleaved single-thread repeats as for scan_batch_speedup. A
+  // collapse to ~1x means char stopped taking the kernel.
+  {
+    std::vector<std::vector<double>> wide_windows;
+    for (ObjectId w = 0; w < oracle.size(); ++w) {
+      const std::span<const char> window = oracle.WindowView(w);
+      wide_windows.emplace_back(window.begin(), window.end());
+    }
+    std::vector<std::vector<double>> wide_queries;
+    for (const auto& q : queries) wide_queries.emplace_back(q.begin(), q.end());
+    const LevenshteinDistance<double> dp;
+    std::vector<double> kernel_out(queries.size() * wide_windows.size());
+    std::vector<double> dp_out(kernel_out.size());
+    double kernel_best_ms = 0.0;
+    double dp_best_ms = 0.0;
+    for (int r = 0; r < Scaled(5, 3); ++r) {
+      auto t0 = std::chrono::steady_clock::now();
+      size_t k = 0;
+      for (const auto& q : queries) {
+        for (ObjectId w = 0; w < oracle.size(); ++w) {
+          kernel_out[k++] = dist.Compute(q, oracle.WindowView(w));
+        }
+      }
+      const double kernel_ms = MillisSince(t0);
+      t0 = std::chrono::steady_clock::now();
+      k = 0;
+      for (const auto& q : wide_queries) {
+        for (const auto& window : wide_windows) {
+          dp_out[k++] = dp.Compute(q, window);
+        }
+      }
+      const double dp_ms = MillisSince(t0);
+      if (r == 0 || kernel_ms < kernel_best_ms) kernel_best_ms = kernel_ms;
+      if (r == 0 || dp_ms < dp_best_ms) dp_best_ms = dp_ms;
+    }
+    SUBSEQ_CHECK(kernel_out == dp_out);
+    const double lev_kernel_speedup =
+        kernel_best_ms > 0.0 ? dp_best_ms / kernel_best_ms : 0.0;
+    std::printf("%-18s %12.1f %12.1f %14.2f\n", "levenshtein_kernel",
+                dp_best_ms, kernel_best_ms, lev_kernel_speedup);
+    records.push_back(BenchRecord{
+        "levenshtein_kernel",
+        {{"lev_dp_ms", dp_best_ms},
+         {"lev_kernel_ms", kernel_best_ms},
+         {"lev_pairs", static_cast<double>(kernel_out.size())},
+         {"lev_kernel_speedup", lev_kernel_speedup}}});
   }
 
   const std::string path = "BENCH_parallel_scaling.json";

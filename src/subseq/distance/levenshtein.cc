@@ -1,10 +1,74 @@
 #include "subseq/distance/levenshtein.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
+#include <type_traits>
 #include <vector>
 
 namespace subseq {
+
+namespace {
+
+// A pattern of up to one 64-bit word takes the bit-parallel kernel.
+constexpr size_t kBitParallelMaxPattern = 64;
+
+// Myers' bit-vector edit distance (JACM 1999) in Hyyro's global form
+// (2003): one word holds a whole DP column, bit i of Pv / Mv meaning
+// D[i+1][j] - D[i][j] = +1 / -1, so a column costs a few word operations
+// instead of m cells. The result is the DP's integer distance, hence the
+// same double bit for bit. Requires 1 <= pattern.size() <=
+// min(64, text.size()) and text.size() - pattern.size() <= upper_bound
+// (or a NaN bound).
+double BitParallelBounded(std::span<const char> pattern,
+                          std::span<const char> text, double upper_bound) {
+  const size_t m = pattern.size();
+  const size_t n = text.size();
+  // Match masks: peq[c] has bit i set iff pattern[i] == c. Only the
+  // entries of bytes that occur in either operand are ever read, so only
+  // those are written; unsigned char keeps '\0' and bytes >= 0x80 (negative
+  // as char) inside the table.
+  uint64_t peq[256];
+  for (const char c : text) peq[static_cast<unsigned char>(c)] = 0;
+  for (const char c : pattern) peq[static_cast<unsigned char>(c)] = 0;
+  for (size_t i = 0; i < m; ++i) {
+    peq[static_cast<unsigned char>(pattern[i])] |= uint64_t{1} << i;
+  }
+
+  // The bottom-row score D[m][j] moves by at most 1 per column, so
+  // D[m][n] >= D[m][j] - (n - j): once that exceeds the bound, so does
+  // the distance. Integer scores make "> upper_bound" the same test as
+  // "> floor(upper_bound)"; a bound of n or more (or NaN) never cuts.
+  int64_t cut = std::numeric_limits<int64_t>::max();
+  if (upper_bound < static_cast<double>(n)) {
+    cut = static_cast<int64_t>(upper_bound) + static_cast<int64_t>(n);
+  }
+
+  const uint64_t last = uint64_t{1} << (m - 1);
+  uint64_t pv = ~uint64_t{0};
+  uint64_t mv = 0;
+  int64_t score = static_cast<int64_t>(m);
+  for (size_t j = 0; j < n; ++j) {
+    const uint64_t eq = peq[static_cast<unsigned char>(text[j])];
+    const uint64_t xv = eq | mv;
+    const uint64_t xh = (((eq & pv) + pv) ^ pv) | eq;
+    uint64_t ph = mv | ~(xh | pv);
+    uint64_t mh = pv & xh;
+    score += static_cast<int64_t>((ph & last) != 0) -
+             static_cast<int64_t>((mh & last) != 0);
+    // score - (n - (j + 1)) > floor(upper_bound).
+    if (score + static_cast<int64_t>(j + 1) > cut) return kInfiniteDistance;
+    // Row 0 is D[0][j] = j: its horizontal delta is always +1.
+    ph = (ph << 1) | 1;
+    mh <<= 1;
+    pv = mh | ~(xv | ph);
+    mv = ph & xv;
+  }
+  return static_cast<double>(score);
+}
+
+}  // namespace
 
 template <typename T>
 double LevenshteinDistance<T>::Compute(std::span<const T> a,
@@ -22,6 +86,15 @@ double LevenshteinDistance<T>::ComputeBounded(std::span<const T> a,
   const double len_diff =
       static_cast<double>(n > m ? n - m : m - n);
   if (len_diff > upper_bound) return kInfiniteDistance;
+
+  if constexpr (std::is_same_v<T, char>) {
+    // The distance is symmetric: the shorter operand is the pattern.
+    if (std::min(n, m) == 0) return static_cast<double>(std::max(n, m));
+    if (std::min(n, m) <= kBitParallelMaxPattern) {
+      return n <= m ? BitParallelBounded(a, b, upper_bound)
+                    : BitParallelBounded(b, a, upper_bound);
+    }
+  }
 
   std::vector<double> prev(m + 1, 0.0);
   std::vector<double> curr(m + 1, 0.0);

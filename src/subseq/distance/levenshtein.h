@@ -16,6 +16,11 @@
 namespace subseq {
 
 /// Unit-cost edit distance over any equality-comparable element type.
+///
+/// The `char` instance computes every pair whose shorter operand has at
+/// most 64 elements with Myers' bit-vector algorithm (one machine word
+/// per DP column), and returns the same value as the DP; longer pairs,
+/// other element types and ComputeWithPath run the row DP.
 template <typename T>
 class LevenshteinDistance final : public SequenceDistance<T> {
  public:

@@ -92,7 +92,9 @@ struct MatchServerOptions {
   /// entries wait in a probation segment of a quarter of it, and an
   /// entry's first hit moves it to the protected rest — so segments
   /// that are never hit (distinct-query traffic) hold at most a quarter
-  /// of the budget. 0 disables the cache entirely (coalescing-only
+  /// of the budget. Each entry is charged the heap it occupies
+  /// (SegmentResultCache::EntryCharge), so the budget bounds the cache's
+  /// memory. 0 disables the cache entirely (coalescing-only
   /// serving). Results and per-request stats are bit-identical either
   /// way — the cache, like coalescing, changes executed work only.
   size_t cache_capacity_bytes = 64ull << 20;  // 64 MiB, on by default

@@ -1,5 +1,6 @@
 #include "subseq/serve/segment_cache.h"
 
+#include <algorithm>
 #include <bit>
 #include <iterator>
 #include <utility>
@@ -8,14 +9,11 @@ namespace subseq {
 
 namespace {
 
-// Fixed per-entry bookkeeping estimate (list node links, map slot, the
-// vectors' headers). The exact heap shape is allocator-dependent; a
-// fixed constant keeps the accounting deterministic.
-constexpr size_t kEntryOverheadBytes = 96;
-
-size_t EntryCharge(size_t key_bytes, const SegmentResultCache::Entry& entry) {
-  return key_bytes + entry.windows.size() * sizeof(ObjectId) +
-         entry.distances.size() * sizeof(double) + kEntryOverheadBytes;
+// The heap block malloc hands out for a `bytes`-byte request (none for
+// zero bytes); see EntryCharge.
+size_t HeapBlock(size_t bytes) {
+  if (bytes == 0) return 0;
+  return std::max<size_t>(32, (bytes + 8 + 15) & ~size_t{15});
 }
 
 // The epsilon component of the key. Keys compare by bit pattern, but
@@ -28,6 +26,24 @@ uint64_t EpsilonBits(double epsilon) {
 }
 
 }  // namespace
+
+size_t SegmentResultCache::EntryCharge(size_t key_bytes,
+                                       const Entry& entry) {
+  // A std::list node is two links and the value; an unordered_map node
+  // is a link, the value and the cached hash. The bucket array holds
+  // between one and two slots per entry (load factor 1, doubling).
+  static const size_t kFixed =
+      HeapBlock(2 * sizeof(void*) + sizeof(Node)) +
+      HeapBlock(sizeof(void*) +
+                sizeof(std::pair<const KeyView, List::iterator>) +
+                sizeof(size_t)) +
+      2 * sizeof(void*);
+  static const size_t kInPlaceKeyBytes = std::string().capacity();
+  return kFixed +
+         (key_bytes > kInPlaceKeyBytes ? HeapBlock(key_bytes + 1) : 0) +
+         HeapBlock(entry.windows.capacity() * sizeof(ObjectId)) +
+         HeapBlock(entry.distances.capacity() * sizeof(double));
+}
 
 void SegmentResultCache::MoveToFront(List::iterator it, Segment& to) {
   Segment& from = SegmentOf(*it);

@@ -85,8 +85,8 @@ inline uint64_t HashSegmentBytes(const char* data, size_t bytes) {
 
 /// Epsilon-aware segmented-LRU cache of per-segment filter results
 /// (Karedla, Love and Wherry, IEEE Computer 1994). Capacity is
-/// byte-accounted (key bytes + hit/distance payload + a fixed per-entry
-/// overhead) and split in two LRU segments:
+/// byte-accounted — each entry is charged the heap it occupies (see
+/// EntryCharge) — and split in two LRU segments:
 ///  * probation — every new entry enters here; capped at a quarter of
 ///    the capacity, and the only segment that evicts;
 ///  * protected — an entry's first hit promotes it here; it holds the
@@ -126,6 +126,15 @@ class SegmentResultCache {
         protected_cap_(capacity_bytes - capacity_bytes / 4) {}
   SegmentResultCache(const SegmentResultCache&) = delete;
   SegmentResultCache& operator=(const SegmentResultCache&) = delete;
+
+  /// The bytes charged against the capacity for `entry` stored under a
+  /// `key_bytes`-byte segment: the heap the entry occupies. That is its
+  /// list node, its map node and two bucket slots of the map, the key's
+  /// heap block when the key is longer than std::string's in-place
+  /// buffer, and the two vectors' heap blocks by capacity. Each block is
+  /// sized as glibc's malloc sizes it on a 64-bit target: the request
+  /// plus an 8-byte header, rounded up to 16, at least 32 bytes.
+  static size_t EntryCharge(size_t key_bytes, const Entry& entry);
 
   /// Returns the entry for (epoch, kind, epsilon, bytes) and marks it
   /// most recently used — promoting it to the protected segment on its

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -121,6 +123,89 @@ TEST(LevenshteinTest, WorksOnDoubles) {
   const std::vector<double> a = {1.0, 2.0, 3.0};
   const std::vector<double> b = {1.0, 3.0};
   EXPECT_DOUBLE_EQ(d.Compute(a, b), 1.0);
+}
+
+// Letters of a 2-, 4- or 20-letter alphabet; 256 draws every byte value,
+// so '\0' and bytes >= 0x80 (negative as char) occur too.
+char RandomSymbol(Rng& rng, int alphabet) {
+  if (alphabet == 256) return static_cast<char>(rng.NextBounded(256));
+  return "ACDEFGHIKLMNPQRSTVWY"[rng.NextBounded(
+      static_cast<uint64_t>(alphabet))];
+}
+
+std::vector<char> RandomString(Rng& rng, size_t length, int alphabet) {
+  std::vector<char> s;
+  for (size_t i = 0; i < length; ++i) s.push_back(RandomSymbol(rng, alphabet));
+  return s;
+}
+
+// `s` after `edits` random substitutions, insertions and deletions,
+// kept within 80 elements.
+std::vector<char> Mutate(Rng& rng, std::vector<char> s, int edits,
+                         int alphabet) {
+  for (int e = 0; e < edits; ++e) {
+    const uint64_t op = rng.NextBounded(3);
+    if (op == 0 && !s.empty()) {
+      s[rng.NextBounded(s.size())] = RandomSymbol(rng, alphabet);
+    } else if (op == 1 && s.size() < 80) {
+      s.insert(s.begin() + static_cast<std::ptrdiff_t>(
+                               rng.NextBounded(s.size() + 1)),
+               RandomSymbol(rng, alphabet));
+    } else if (!s.empty()) {
+      s.erase(s.begin() +
+              static_cast<std::ptrdiff_t>(rng.NextBounded(s.size())));
+    }
+  }
+  return s;
+}
+
+std::vector<double> Widen(const std::vector<char>& s) {
+  return std::vector<double>(s.begin(), s.end());
+}
+
+TEST(LevenshteinTest, CharKernelMatchesDpOnSeededSweep) {
+  // The char instance takes the bit-parallel kernel whenever the shorter
+  // operand has at most 64 elements; the double instance always runs the
+  // row DP, so on the same bytes widened it is the reference. Lengths
+  // 0..80 on each side cross both operand orders and the 64/65 dispatch
+  // boundary; half the pairs are random, half a few edits apart.
+  const LevenshteinDistance<char> kernel;
+  const LevenshteinDistance<double> dp;
+  const double bounds[] = {-1.0, 0.0, 0.5, 1.0, 2.0,
+                           3.0,  7.5, 64.0, kInfiniteDistance};
+  Rng rng(1999);
+  int pairs = 0;
+  for (const int alphabet : {2, 4, 20, 256}) {
+    for (int trial = 0; trial < 12500; ++trial) {
+      const std::vector<char> a = RandomString(rng, rng.NextBounded(81),
+                                               alphabet);
+      const std::vector<char> b =
+          trial % 2 == 0
+              ? RandomString(rng, rng.NextBounded(81), alphabet)
+              : Mutate(rng, a, 1 + static_cast<int>(rng.NextBounded(4)),
+                       alphabet);
+      const std::string where = "alphabet " + std::to_string(alphabet) +
+                                " trial " + std::to_string(trial) +
+                                " lengths " + std::to_string(a.size()) +
+                                "/" + std::to_string(b.size());
+      const double expected = dp.Compute(Widen(a), Widen(b));
+      ASSERT_EQ(kernel.Compute(a, b), expected) << where;
+      for (const double bound : bounds) {
+        const double got = kernel.ComputeBounded(a, b, bound);
+        if (expected <= bound) {
+          ASSERT_EQ(got, expected) << where << " bound " << bound;
+        } else if (std::min(a.size(), b.size()) <= 64) {
+          // The kernel's cut-off is exact: by the last column it has
+          // abandoned every pair whose distance exceeds the bound.
+          ASSERT_EQ(got, kInfiniteDistance) << where << " bound " << bound;
+        } else {
+          ASSERT_GT(got, bound) << where << " bound " << bound;
+        }
+      }
+      ++pairs;
+    }
+  }
+  EXPECT_EQ(pairs, 50000);
 }
 
 TEST(LevenshteinTest, PropertyFlags) {

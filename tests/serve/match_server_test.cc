@@ -571,9 +571,10 @@ TEST(MatchServerCacheTest, CacheOffMatchesCacheOnElementWise) {
   on_options.index_kinds = {IndexKind::kLinearScan};
   MatchServerOptions off_options = on_options;
   off_options.cache_capacity_bytes = 0;  // PR 4 behavior
-  // A tiny cache exercises the eviction path in the same run.
+  // A tiny cache exercises the eviction path in the same run: its
+  // probation quarter holds one hit-less entry (768 B would hold none).
   MatchServerOptions tiny_options = on_options;
-  tiny_options.cache_capacity_bytes = 512;
+  tiny_options.cache_capacity_bytes = 1024;
 
   const std::vector<MatchRequest<char>> workload = MakeWorkload(db, 1.0, 10);
   const auto serve_all = [&](MatchServerOptions options) {

@@ -1,11 +1,17 @@
 // SegmentResultCache unit tests: segmented-LRU mechanics (probation,
-// promotion, demotion, eviction order), byte accounting,
-// epsilon/kind-aware keys, and the word-at-a-time segment-byte hash the
-// coalescer's dedup and the cache key share.
+// promotion, demotion, eviction order), byte accounting against the
+// heap an entry occupies, epsilon/kind-aware keys, and the
+// word-at-a-time segment-byte hash the coalescer's dedup and the cache
+// key share.
 
 #include <gtest/gtest.h>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <cstring>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -23,9 +29,9 @@ SegmentResultCache::Entry MakeEntry(std::vector<ObjectId> windows,
   return entry;
 }
 
-// Per-entry byte charge with an 8-byte key and no hits: key + fixed
-// overhead (see EntryCharge in segment_cache.cc).
-constexpr size_t kEmptyEntryCharge = 8 + 96;
+// Per-entry byte charge with an 8-byte key and no hits.
+const size_t kEmptyEntryCharge =
+    SegmentResultCache::EntryCharge(8, SegmentResultCache::Entry{});
 
 TEST(SegmentCacheTest, HitReturnsStoredEntryAndCounts) {
   SegmentResultCache cache(1 << 20);
@@ -91,7 +97,7 @@ TEST(SegmentCacheTest, NegativeZeroEpsilonSharesTheZeroKeyspace) {
 
 // Eight empty-hit entries of budget: probation (a quarter) holds
 // exactly two of them, protected the other six.
-constexpr size_t kEightEntryBudget = 8 * kEmptyEntryCharge;
+const size_t kEightEntryBudget = 8 * kEmptyEntryCharge;
 
 std::string KeyOf(int i) { return "KEY" + std::to_string(10000 + i); }
 
@@ -215,30 +221,93 @@ TEST(SegmentCacheTest, LookupNeverEvicts) {
   }
 }
 
+std::vector<ObjectId> Windows(int count) {
+  std::vector<ObjectId> windows(static_cast<size_t>(count));
+  std::iota(windows.begin(), windows.end(), 0);
+  return windows;
+}
+
 TEST(SegmentCacheTest, EntryLargerThanProbationIsNotStored) {
-  // 1024 bytes of budget: a quarter is 256. A 16-hit entry charges
-  // 8 + 16 * 12 + 96 = 296 bytes — it fits the whole budget but not
-  // probation, where every entry must start, so it is not stored.
-  SegmentResultCache cache(1024);
+  // A budget whose quarter is exactly a twelve-hit entry's charge. A
+  // 16-hit entry fits the whole budget but not probation, where every
+  // entry must start, so it is not stored.
   const std::string key = "SEGMENTA";
-  std::vector<ObjectId> hits(16);
-  for (int i = 0; i < 16; ++i) hits[static_cast<size_t>(i)] = i;
+  const auto charge = [&](int hits) {
+    return SegmentResultCache::EntryCharge(key.size(),
+                                           MakeEntry(Windows(hits), 9));
+  };
+  const size_t budget = 4 * charge(12);
+  ASSERT_GT(charge(16), budget / 4);
+  ASSERT_LE(charge(16), budget);
+  SegmentResultCache cache(budget);
+  std::vector<ObjectId> hits = Windows(16);
   cache.Insert(0, IndexKind::kLinearScan, 1.0, key.data(), key.size(),
                MakeEntry(hits, 9));
   EXPECT_FALSE(Hit(&cache, key));
   EXPECT_EQ(cache.counters().entries, 0);
   EXPECT_EQ(cache.counters().bytes_used, 0);
   EXPECT_EQ(cache.counters().evictions, 0);
-  // One hit fewer charges 284 bytes; still over the quarter.
+  // One hit fewer is still over the quarter.
   hits.pop_back();
+  ASSERT_GT(charge(15), budget / 4);
   cache.Insert(0, IndexKind::kLinearScan, 1.0, key.data(), key.size(),
                MakeEntry(hits, 9));
   EXPECT_EQ(cache.counters().entries, 0);
-  // Twelve hits charge 248 bytes and fit.
+  // Twelve hits fit.
   hits.resize(12);
   cache.Insert(0, IndexKind::kLinearScan, 1.0, key.data(), key.size(),
                MakeEntry(hits, 9));
   EXPECT_TRUE(Hit(&cache, key));
+  EXPECT_EQ(cache.counters().bytes_used, static_cast<int64_t>(charge(12)));
+}
+
+// Heap bytes in use (arena chunks plus mmapped blocks), or 0 where the
+// allocator does not report them.
+size_t HeapInUse() {
+#if defined(__GLIBC__) && \
+    (__GLIBC__ > 2 || (__GLIBC__ == 2 && __GLIBC_MINOR__ >= 33))
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+#else
+  return 0;
+#endif
+}
+
+TEST(SegmentCacheTest, EntryChargeCoversTheHeapAnEntryOccupies) {
+  // The budget bounds memory only if no entry occupies more heap than it
+  // is charged. Keys are one 22-element segment of each workload's
+  // element type (char, double, 2-D point); hit lists are empty, one
+  // hit, and sixteen hits.
+  constexpr int kEntries = 2000;
+  for (const size_t key_bytes : {size_t{20}, size_t{176}, size_t{352}}) {
+    for (const int hits : {0, 1, 16}) {
+      std::vector<std::string> keys;
+      for (int i = 0; i < kEntries; ++i) {
+        std::string key(key_bytes, 'k');
+        std::memcpy(key.data(), &i, sizeof(i));
+        keys.push_back(std::move(key));
+      }
+      SegmentResultCache cache(size_t{1} << 30);
+      const size_t before = HeapInUse();
+      for (const std::string& key : keys) {
+        cache.Insert(0, IndexKind::kLinearScan, 1.0, key.data(), key.size(),
+                     MakeEntry(Windows(hits), 1));
+      }
+      const size_t after = HeapInUse();
+      if (after <= before) {
+        GTEST_SKIP() << "the allocator reports no heap growth";
+      }
+      const size_t charge =
+          SegmentResultCache::EntryCharge(key_bytes, MakeEntry(Windows(hits), 1));
+      ASSERT_EQ(cache.counters().entries, kEntries);
+      EXPECT_EQ(cache.counters().bytes_used,
+                static_cast<int64_t>(kEntries * charge));
+      const double per_entry =
+          static_cast<double>(after - before) / kEntries;
+      EXPECT_LE(per_entry, static_cast<double>(charge))
+          << "key " << key_bytes << " B, " << hits << " hits";
+    }
+  }
 }
 
 TEST(SegmentCacheTest, OversizedEntryIsNotStored) {

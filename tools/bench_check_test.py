@@ -154,6 +154,25 @@ class BenchCheckTest(unittest.TestCase):
             "fresh.json", doc([{"name": "t8", "speedup": 4.0}]))
         self.assertEqual(self.run_main(base, fresh, ["speedup"]), 0)
 
+    def test_machine_stamps_do_not_affect_the_comparison(self):
+        # Every BENCH JSON records the machine it ran on; a baseline from
+        # one machine still gates a fresh run from another record by
+        # record.
+        records = [{"name": "t8", "speedup": 4.0, "qps": 100.0}]
+        base = doc(records)
+        base.update({"scale": "ci", "nproc": 4, "simd": "avx2"})
+        base_path = self.write("base.json", base)
+        fresh = doc(records)
+        fresh.update({"scale": "ci", "nproc": 2, "simd": "portable"})
+        self.assertEqual(
+            self.run_main(base_path, self.write("fresh.json", fresh),
+                          ["speedup"]), 0)
+        fresh["records"] = [{"name": "t8", "speedup": 2.0, "qps": 100.0}]
+        self.assertEqual(
+            self.run_main(base_path, self.write("slow.json", fresh),
+                          ["speedup"], extra=["--max-regression", "0.25"]),
+            1)
+
     def test_list_mode_needs_no_fresh_or_metric(self):
         base = self.write(
             "base.json",
