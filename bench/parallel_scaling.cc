@@ -17,7 +17,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 
 #include "bench_common.h"
 #include "subseq/core/check.h"
@@ -386,58 +385,6 @@ int Run() {
          {"verify_ms", verify_ms},
          {"verify_speedup", verify_speedup},
          {"verifications", static_cast<double>(verifications)}}});
-  }
-
-  // ---------------------------------------------------- Type III pipeline
-  // NearestMatch end-to-end: the serial epsilon schedule (num_threads=1,
-  // probes strictly in sequence) vs the pipelined one (next probe's
-  // filter speculates on the pool while the current round verifies).
-  // Step-5 verification is pinned to one thread in BOTH runs so the
-  // ratio isolates the probe schedule + parallel filter, not the verify
-  // sweep above. Results must be identical; only the wall-clock may
-  // move.
-  {
-    const double eps_max = 4.0;
-    const double eps_inc = 0.5;
-    auto run_nearest = [&](int32_t num_threads, double* ms) {
-      MatcherOptions moptions;
-      moptions.lambda = 2 * kWindowLength;
-      moptions.lambda0 = 2;
-      moptions.index_kind = IndexKind::kReferenceNet;
-      moptions.exec.num_threads = num_threads;
-      moptions.exec.num_verify_threads = 1;
-      auto matcher =
-          std::move(SubsequenceMatcher<char>::Build(db, dist, moptions))
-              .ValueOrDie();
-      std::vector<std::optional<SubsequenceMatch>> found;
-      auto t0 = std::chrono::steady_clock::now();
-      for (const auto& q : vqueries) {
-        auto r = matcher->NearestMatch(std::span<const char>(q), eps_max,
-                                       eps_inc);
-        SUBSEQ_CHECK(r.ok());
-        found.push_back(std::move(r).ValueOrDie());
-      }
-      *ms = MillisSince(t0);
-      return found;
-    };
-    double serial_ms = 0.0;
-    double pipelined_ms = 0.0;
-    const auto serial = run_nearest(1, &serial_ms);
-    const auto pipelined = run_nearest(8, &pipelined_ms);
-    SUBSEQ_CHECK(serial.size() == pipelined.size());
-    for (size_t i = 0; i < serial.size(); ++i) {
-      SUBSEQ_CHECK(serial[i].has_value() == pipelined[i].has_value());
-      if (serial[i].has_value()) SUBSEQ_CHECK(*serial[i] == *pipelined[i]);
-    }
-    const double nearest_speedup =
-        pipelined_ms > 0.0 ? serial_ms / pipelined_ms : 0.0;
-    std::printf("\n%-18s %12.1f %12.1f %14.2f\n", "nearest_pipeline",
-                serial_ms, pipelined_ms, nearest_speedup);
-    records.push_back(BenchRecord{
-        "nearest_pipeline",
-        {{"nearest_serial_ms", serial_ms},
-         {"nearest_pipelined_ms", pipelined_ms},
-         {"nearest_speedup", nearest_speedup}}});
   }
 
   // ------------------------------------------------ step-4 LB prefilter

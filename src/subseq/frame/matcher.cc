@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <condition_variable>
+#include <cmath>
 #include <cstddef>
 #include <functional>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <string>
 #include <type_traits>
@@ -17,7 +16,6 @@
 #include "subseq/core/check.h"
 #include "subseq/exec/parallel_for.h"
 #include "subseq/exec/stats_sink.h"
-#include "subseq/exec/thread_pool.h"
 #include "subseq/exec/verify_budget.h"
 #include "subseq/frame/lb_prefilter.h"
 #include "subseq/metric/linear_scan.h"
@@ -381,6 +379,18 @@ Status MatcherOptions::Validate() const {
         "delta_merge_threshold must be >= 1 (it is the delta window count "
         "at which the serving layer compacts delta into base; 1 compacts "
         "after every append)");
+  }
+  return Status::OK();
+}
+
+Status ValidateNearestSchedule(double epsilon_max, double epsilon_increment) {
+  if (!std::isfinite(epsilon_max) || epsilon_max < 0.0) {
+    return Status::InvalidArgument(
+        "NearestMatch: epsilon_max must be finite and >= 0");
+  }
+  if (!std::isfinite(epsilon_increment) || epsilon_increment <= 0.0) {
+    return Status::InvalidArgument(
+        "NearestMatch: epsilon_increment must be finite and > 0");
   }
   return Status::OK();
 }
@@ -965,182 +975,76 @@ SubsequenceMatcher<T>::LongestMatchFromHits(std::span<const T> query,
                            std::span<const ChainMemo>(memos), stats);
 }
 
-namespace {
-
-// Adds a filter call's accounting (steps 3-4 fields only) into `out`.
-inline void AddFilterStats(MatchQueryStats* out, const MatchQueryStats& in) {
-  if (out == nullptr) return;
-  out->segments += in.segments;
-  out->filter_computations += in.filter_computations;
-  out->hits += in.hits;
-}
-
-// One speculative FilterSegments round, issued to the shared pool so it
-// overlaps the current round's verification. The owner and the pool task
-// race on `claimed`: whichever side claims first runs the filter, so the
-// owner never blocks on a task that is still queued (it runs the filter
-// inline instead) — only on one that is actively executing, which always
-// finishes. Take() merges the probe's accounting into the query stats;
-// Discard() drops it, because the serial schedule never ran that probe.
-template <typename T>
-class NextProbe {
- public:
-  NextProbe() = default;
-  NextProbe(const NextProbe&) = delete;
-  NextProbe& operator=(const NextProbe&) = delete;
-  ~NextProbe() { Discard(); }
-
-  void Launch(const SubsequenceMatcher<T>& matcher, std::span<const T> query,
-              double epsilon) {
-    matcher_ = &matcher;
-    query_ = query;
-    epsilon_ = epsilon;
-    state_ = std::make_shared<State>();
-    // The task captures the matcher and query by reference-like views;
-    // both outlive it because Take/Discard never return while the task
-    // is running.
-    ThreadPool::Shared().Submit(
-        [state = state_, &matcher, query, epsilon] {
-          if (state->claimed.exchange(true, std::memory_order_acq_rel)) {
-            return;  // the owner took (or discarded) the probe first
-          }
-          MatchQueryStats probe_stats;
-          std::vector<SegmentHit> hits =
-              matcher.FilterSegments(query, epsilon, &probe_stats);
-          std::lock_guard<std::mutex> lock(state->mu);
-          state->hits = std::move(hits);
-          state->stats = probe_stats;
-          state->done = true;
-          state->cv.notify_all();
-        });
-  }
-
-  bool launched() const { return state_ != nullptr; }
-
-  /// The speculative hits, with the probe's accounting merged into
-  /// `stats` — exactly what a non-speculative FilterSegments at the same
-  /// epsilon would have produced and charged.
-  std::vector<SegmentHit> Take(MatchQueryStats* stats) {
-    SUBSEQ_CHECK(state_ != nullptr);
-    std::vector<SegmentHit> hits;
-    if (state_->claimed.exchange(true, std::memory_order_acq_rel)) {
-      std::unique_lock<std::mutex> lock(state_->mu);
-      state_->cv.wait(lock, [this] { return state_->done; });
-      AddFilterStats(stats, state_->stats);
-      hits = std::move(state_->hits);
-    } else {
-      // The pool never got to it; the filter runs here, on schedule.
-      hits = matcher_->FilterSegments(query_, epsilon_, stats);
-    }
-    state_.reset();
-    return hits;
-  }
-
-  /// Drops the probe: unstarted tasks are cancelled via the claim;
-  /// a running task is waited out (it holds views into the query) and
-  /// its result and accounting are discarded.
-  void Discard() {
-    if (state_ == nullptr) return;
-    if (state_->claimed.exchange(true, std::memory_order_acq_rel)) {
-      std::unique_lock<std::mutex> lock(state_->mu);
-      state_->cv.wait(lock, [this] { return state_->done; });
-    }
-    state_.reset();
-  }
-
- private:
-  struct State {
-    std::atomic<bool> claimed{false};
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    std::vector<SegmentHit> hits;
-    MatchQueryStats stats;
-  };
-
-  const SubsequenceMatcher<T>* matcher_ = nullptr;
-  std::span<const T> query_;
-  double epsilon_ = 0.0;
-  std::shared_ptr<State> state_;
-};
-
-}  // namespace
-
 template <typename T>
 Result<std::optional<SubsequenceMatch>> SubsequenceMatcher<T>::NearestMatch(
     std::span<const T> query, double epsilon_max, double epsilon_increment,
     MatchQueryStats* stats) const {
-  if (epsilon_increment <= 0.0 || epsilon_max < 0.0) {
-    return Status::InvalidArgument(
-        "NearestMatch requires epsilon_max >= 0 and epsilon_increment > 0");
-  }
+  SUBSEQ_RETURN_NOT_OK(
+      ValidateNearestSchedule(epsilon_max, epsilon_increment));
+  const std::vector<SegmentHit> hits =
+      FilterSegments(query, epsilon_max, stats);
+  return NearestMatchFromHits(query, hits, epsilon_max, epsilon_increment,
+                              stats);
+}
+
+template <typename T>
+Result<std::optional<SubsequenceMatch>>
+SubsequenceMatcher<T>::NearestMatchFromHits(std::span<const T> query,
+                                            std::span<const SegmentHit> hits,
+                                            double epsilon_max,
+                                            double epsilon_increment,
+                                            MatchQueryStats* stats) const {
+  SUBSEQ_RETURN_NOT_OK(
+      ValidateNearestSchedule(epsilon_max, epsilon_increment));
   // A similar pair at distance d produces a segment hit at epsilon = d
-  // (Lemma 2), so no hits at epsilon_max means no pair at all. The hit
-  // set is kept: it IS the first binary-search probe (the probe at
-  // hi = epsilon_max), and the growth loop below reuses the cached hit
-  // set of whatever epsilon it verifies at instead of re-running the
-  // filter.
-  std::vector<SegmentHit> hits = FilterSegments(query, epsilon_max, stats);
-  if (hits.empty()) {
-    return std::optional<SubsequenceMatch>();
+  // (Lemma 2), so no hits at epsilon_max means no pair at all.
+  if (hits.empty()) return std::optional<SubsequenceMatch>();
+
+  // A range query returns exactly the windows within epsilon, and every
+  // hit carries its exact distance, so the hit set at any epsilon <=
+  // epsilon_max is `hits` restricted to distance <= epsilon, canonical
+  // order kept. The schedule below probes exactly the epsilons the
+  // paper's algorithm does, reading each probe's hits off that
+  // restriction instead of re-running step 4.
+  double min_distance = hits.front().distance;
+  for (const SegmentHit& hit : hits) {
+    min_distance = std::min(min_distance, hit.distance);
   }
-  double hits_epsilon = epsilon_max;
 
   // Binary-search the smallest epsilon that yields any segment hit.
-  // `hits` tracks the latest non-empty probe — the probe at `hi`.
   double lo = 0.0;
   double hi = epsilon_max;
   for (int iter = 0; iter < 48 && hi - lo > epsilon_increment / 2.0;
        ++iter) {
     const double mid = lo + (hi - lo) / 2.0;
-    std::vector<SegmentHit> mid_hits = FilterSegments(query, mid, stats);
-    if (mid_hits.empty()) {
-      lo = mid;
-    } else {
+    if (min_distance <= mid) {
       hi = mid;
-      hits = std::move(mid_hits);
-      hits_epsilon = mid;
+    } else {
+      lo = mid;
     }
   }
 
   // Grow epsilon until the Type II chain search verifies a pair. The
   // first success makes the current epsilon optimal up to the increment
   // (step 3 of the paper's Type III): a smaller epsilon was already
-  // checked and produced nothing. Rounds are pipelined: while this
-  // round's chain search verifies, the next round's filter runs
-  // speculatively on the pool; its accounting is charged only if the
-  // schedule reaches that round, so results and stats match the
-  // unpipelined schedule exactly. Speculation only pays when a second
-  // hardware thread can truly overlap it — on a single-core box a
-  // discarded probe is pure added latency — so it is gated on the pool
-  // actually having more than one worker.
-  // The loop exits via the break below, after a round at clamped ==
-  // epsilon_max has run: terminating on the unclamped eps overshooting
-  // would skip the final epsilon_max round whenever (epsilon_max - hi)
-  // is not close to a multiple of the increment, silently missing pairs
-  // with distance in the last partial increment.
-  const bool pipeline = options_.exec.ResolvedThreads() > 1 &&
-                        ThreadPool::Shared().num_threads() > 1;
+  // checked and produced nothing. The loop exits via the break below,
+  // after a round at clamped == epsilon_max has run: terminating on the
+  // unclamped eps overshooting would skip the final epsilon_max round
+  // whenever (epsilon_max - hi) is not close to a multiple of the
+  // increment, silently missing pairs with distance in the last partial
+  // increment.
+  std::vector<SegmentHit> round_hits;
+  round_hits.reserve(hits.size());
   for (double eps = hi;; eps += epsilon_increment) {
     const double clamped = std::min(eps, epsilon_max);
-    if (clamped != hits_epsilon) {
-      hits = FilterSegments(query, clamped, stats);
-      hits_epsilon = clamped;
+    round_hits.clear();
+    for (const SegmentHit& hit : hits) {
+      if (hit.distance <= clamped) round_hits.push_back(hit);
     }
-    const bool last_round = clamped >= epsilon_max;
-    NextProbe<T> probe;
-    if (pipeline && !last_round) {
-      probe.Launch(*this, query,
-                   std::min(eps + epsilon_increment, epsilon_max));
-    }
-    auto found = LongestMatchFromHits(query, hits, clamped, stats);
+    auto found = LongestMatchFromHits(query, round_hits, clamped, stats);
     SUBSEQ_RETURN_NOT_OK(found.status());
     if (found.value().has_value()) return found;
-    if (last_round) break;
-    if (probe.launched()) {
-      hits = probe.Take(stats);
-      hits_epsilon = std::min(eps + epsilon_increment, epsilon_max);
-    }
+    if (clamped >= epsilon_max) break;
   }
   return std::optional<SubsequenceMatch>();
 }

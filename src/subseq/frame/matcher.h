@@ -173,6 +173,12 @@ struct SnapshotBuildOptions {
   int32_t batch_windows = 0;
 };
 
+/// The Type III schedule rule: epsilon_max finite and >= 0,
+/// epsilon_increment finite and > 0. NearestMatch, NearestMatchFromHits
+/// and the serving front door (serve/match_request.h) all enforce it;
+/// InvalidArgument names the offending field.
+Status ValidateNearestSchedule(double epsilon_max, double epsilon_increment);
+
 /// A verified pair of similar subsequences.
 struct SubsequenceMatch {
   SeqId seq = kInvalidId;  // database sequence
@@ -403,19 +409,30 @@ class SubsequenceMatcher {
   /// appears. The returned match's distance is within epsilon_increment
   /// of the true minimum (the paper's algorithm: "if we find some
   /// results, the current epsilon is optimal"). Returns nullopt if no
-  /// pair exists with distance <= epsilon_max.
-  ///
-  /// The epsilon schedule is pipelined: the existence pre-check's hit
-  /// set at epsilon_max doubles as the first binary-search probe and is
-  /// carried forward (each growth round verifies the cached hit set of
-  /// its epsilon instead of re-running the filter), and while a round
-  /// verifies, the next round's FilterSegments runs speculatively on the
-  /// pool. A speculative filter is charged to `stats` only when the
-  /// schedule actually consumes it, so results and stats are identical
-  /// at any thread setting; discarded probes cost wall-clock-overlapped
-  /// work only.
+  /// pair exists with distance <= epsilon_max. Rejects a schedule that
+  /// ValidateNearestSchedule refuses with InvalidArgument before any
+  /// work. NearestMatch == FilterSegments at epsilon_max +
+  /// NearestMatchFromHits, so steps 3-4 run exactly once: `stats` bills
+  /// one filter pass (segments, filter_computations, hits) at
+  /// epsilon_max, plus the chains and verifications of every growth
+  /// round.
   Result<std::optional<SubsequenceMatch>> NearestMatch(
       std::span<const T> query, double epsilon_max, double epsilon_increment,
+      MatchQueryStats* stats = nullptr) const;
+
+  /// Steps after the filter of Type III, from the hits at epsilon_max (as
+  /// produced by FilterSegments / MergeSegmentHits at epsilon_max). Every
+  /// hit carries its exact distance and a range query returns exactly
+  /// the windows within epsilon, so the hit set at any epsilon <=
+  /// epsilon_max is `hits` restricted to distance <= epsilon, in the same
+  /// canonical order: the binary search and every growth round read
+  /// their probe off `hits` instead of filtering again, and each round
+  /// runs LongestMatchFromHits on its restriction. Same contract as
+  /// RangeSearchFromHits: `stats` accumulates chains and verifications
+  /// only. Validates the schedule like NearestMatch. Thread-safe.
+  Result<std::optional<SubsequenceMatch>> NearestMatchFromHits(
+      std::span<const T> query, std::span<const SegmentHit> hits,
+      double epsilon_max, double epsilon_increment,
       MatchQueryStats* stats = nullptr) const;
 
   /// Serializes the window catalog and the built index (steps 1-2) as a

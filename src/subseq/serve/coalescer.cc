@@ -49,22 +49,18 @@ std::vector<CoalesceGroup> PlanCoalesce(std::span<const CoalesceKey> keys) {
   // and silently fall into a degenerate one-member group.
   for (size_t i = 0; i < keys.size(); ++i) {
     const CoalesceKey& key = keys[i];
-    if (key.coalescable) {
-      CoalesceGroup* open = nullptr;
-      for (CoalesceGroup& g : groups) {
-        if (g.coalescable && g.kind == key.kind && g.epsilon == key.epsilon) {
-          open = &g;
-          break;
-        }
+    CoalesceGroup* open = nullptr;
+    for (CoalesceGroup& g : groups) {
+      if (g.kind == key.kind && g.epsilon == key.epsilon) {
+        open = &g;
+        break;
       }
-      if (open == nullptr) {
-        groups.push_back(CoalesceGroup{key.kind, key.epsilon, true, {}});
-        open = &groups.back();
-      }
-      open->members.push_back(i);
-    } else {
-      groups.push_back(CoalesceGroup{key.kind, key.epsilon, false, {i}});
     }
+    if (open == nullptr) {
+      groups.push_back(CoalesceGroup{key.kind, key.epsilon, {}});
+      open = &groups.back();
+    }
+    open->members.push_back(i);
   }
   return groups;
 }

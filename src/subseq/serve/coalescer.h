@@ -40,29 +40,24 @@ namespace subseq {
 struct CoalesceKey {
   /// Index backend the request is answered through.
   IndexKind kind = IndexKind::kReferenceNet;
-  /// Filter threshold. Compared exactly: only bit-identical epsilons
-  /// share a call (BatchRangeQuery takes one epsilon per batch).
+  /// Filter threshold (Type III's is its epsilon_max). Compared exactly:
+  /// only bit-identical epsilons share a call (BatchRangeQuery takes one
+  /// epsilon per batch).
   double epsilon = 0.0;
-  /// False for requests that run their own filter schedule (Type III
-  /// NearestMatch): they are planned as singleton groups and dispatched
-  /// whole.
-  bool coalescable = true;
 };
 
 /// One planned shared filter call over a subset of an admission batch.
 struct CoalesceGroup {
   IndexKind kind = IndexKind::kReferenceNet;
   double epsilon = 0.0;
-  bool coalescable = true;
   /// Indices into the admission batch, in admission order.
   std::vector<size_t> members;
 };
 
 /// Deterministically partitions an admission batch into shared filter
-/// calls: coalescable keys group by (kind, epsilon) in first-appearance
-/// order with members in admission order; non-coalescable keys become
-/// singleton groups at their admission position. Every index in
-/// [0, keys.size()) appears in exactly one group.
+/// calls: keys group by (kind, epsilon) in first-appearance order with
+/// members in admission order. Every index in [0, keys.size()) appears
+/// in exactly one group.
 std::vector<CoalesceGroup> PlanCoalesce(std::span<const CoalesceKey> keys);
 
 /// Per-member outcome of one shared filter call.

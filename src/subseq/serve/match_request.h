@@ -27,8 +27,9 @@ enum class MatchQueryType {
   /// Type II — a longest similar pair at `epsilon` (LongestMatch).
   kLongestMatch,
   /// Type III — a closest pair, searching up to `epsilon_max` in steps of
-  /// `epsilon_increment` (NearestMatch). Runs its own multi-round filter
-  /// schedule, so it is dispatched whole rather than coalesced.
+  /// `epsilon_increment` (NearestMatch). Its one filter pass runs at
+  /// `epsilon_max`, so it coalesces and uses the segment cache keyed on
+  /// `epsilon_max`, like Types I and II on `epsilon`.
   kNearestMatch,
 };
 
@@ -76,16 +77,8 @@ Status ValidateMatchRequest(const MatchRequest<T>& request) {
       }
       break;
     case MatchQueryType::kNearestMatch:
-      if (!std::isfinite(request.epsilon_max) || request.epsilon_max < 0.0) {
-        return Status::InvalidArgument(
-            "MatchRequest: epsilon_max must be finite and >= 0");
-      }
-      if (!std::isfinite(request.epsilon_increment) ||
-          request.epsilon_increment <= 0.0) {
-        return Status::InvalidArgument(
-            "MatchRequest: epsilon_increment must be finite and > 0");
-      }
-      break;
+      return ValidateNearestSchedule(request.epsilon_max,
+                                     request.epsilon_increment);
   }
   return Status::OK();
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <string>
 
-#include "subseq/core/check.h"
 #include "subseq/exec/thread_pool.h"
 #include "subseq/snapshot/reader.h"
 #include "subseq/snapshot/writer.h"
@@ -369,8 +368,9 @@ void MatchServer<T>::ServeBatch(std::vector<Pending>* batch) {
       continue;
     }
     keys[i].kind = kind;
-    keys[i].coalescable = p.request.type != MatchQueryType::kNearestMatch;
-    keys[i].epsilon = p.request.epsilon;
+    keys[i].epsilon = p.request.type == MatchQueryType::kNearestMatch
+                          ? p.request.epsilon_max
+                          : p.request.epsilon;
   }
 
   // Plan over the surviving requests (their original batch indices).
@@ -385,19 +385,6 @@ void MatchServer<T>::ServeBatch(std::vector<Pending>* batch) {
   const std::vector<CoalesceGroup> groups = PlanCoalesce(alive_keys);
 
   for (const CoalesceGroup& group : groups) {
-    if (!group.coalescable) {
-      // Type III runs its own filter schedule; dispatch it whole.
-      SUBSEQ_CHECK(group.members.size() == 1);
-      Pending& p = (*batch)[alive[group.members.front()]];
-      const SubsequenceMatcher<T>* m = pipelines[alive[group.members.front()]];
-      Dispatch(
-          [this, state, m, request = std::move(p.request)] {
-            return RunDirect(*m, request);
-          },
-          p.promise);
-      continue;
-    }
-
     // The shared filter call: steps 3-4 for every member at once. Runs
     // here on the service thread (its parallelism is inside the index);
     // meanwhile new submissions accumulate in the queue for the next
@@ -442,10 +429,11 @@ void MatchServer<T>::ServeBatch(std::vector<Pending>* batch) {
     // Step 5 per member, detached: the loop moves on to the next group /
     // admission round while pool workers verify. Each task enters the
     // library's parallel verification path (RangeSearchFromHits /
-    // LongestMatchFromHits), whose work-stealing loop fans candidate
-    // regions out across idle pool workers even though it was entered
-    // from a worker — a query with a heavy verification tail no longer
-    // serializes on its one detached task.
+    // LongestMatchFromHits, which NearestMatchFromHits runs per growth
+    // round), whose work-stealing loop fans candidate regions out across
+    // idle pool workers even though it was entered from a worker — a
+    // query with a heavy verification tail no longer serializes on its
+    // one detached task.
     for (size_t g = 0; g < group.members.size(); ++g) {
       Pending& p = (*batch)[alive[group.members[g]]];
       Dispatch(
@@ -479,44 +467,6 @@ void MatchServer<T>::Dispatch(std::function<MatchResult()> work,
 }
 
 template <typename T>
-MatchResult MatchServer<T>::RunDirect(const SubsequenceMatcher<T>& m,
-                                      const MatchRequest<T>& request) const {
-  MatchResult result;
-  const std::span<const T> query(request.query);
-  switch (request.type) {
-    case MatchQueryType::kRangeSearch: {
-      auto r = m.RangeSearch(query, request.epsilon, &result.stats);
-      if (!r.ok()) {
-        result.status = r.status();
-        return result;  // stats keep the work done before the error
-      }
-      result.matches = std::move(r).ValueOrDie();
-      break;
-    }
-    case MatchQueryType::kLongestMatch: {
-      auto r = m.LongestMatch(query, request.epsilon, &result.stats);
-      if (!r.ok()) {
-        result.status = r.status();
-        return result;  // stats keep the work done before the error
-      }
-      result.best = std::move(r).ValueOrDie();
-      break;
-    }
-    case MatchQueryType::kNearestMatch: {
-      auto r = m.NearestMatch(query, request.epsilon_max,
-                              request.epsilon_increment, &result.stats);
-      if (!r.ok()) {
-        result.status = r.status();
-        return result;  // stats keep the work done before the error
-      }
-      result.best = std::move(r).ValueOrDie();
-      break;
-    }
-  }
-  return result;
-}
-
-template <typename T>
 MatchResult MatchServer<T>::RunFromHits(
     const SubsequenceMatcher<T>& m, const MatchRequest<T>& request,
     const std::vector<SegmentHit>& hits, MatchQueryStats filter_stats) const {
@@ -544,10 +494,17 @@ MatchResult MatchServer<T>::RunFromHits(
       result.best = std::move(r).ValueOrDie();
       break;
     }
-    case MatchQueryType::kNearestMatch:
-      // Planned non-coalescable; cannot reach here.
-      SUBSEQ_CHECK(false);
+    case MatchQueryType::kNearestMatch: {
+      auto r = m.NearestMatchFromHits(query, hits, request.epsilon_max,
+                                      request.epsilon_increment,
+                                      &result.stats);
+      if (!r.ok()) {
+        result.status = r.status();
+        return result;  // stats keep the work done before the error
+      }
+      result.best = std::move(r).ValueOrDie();
       break;
+    }
   }
   return result;
 }

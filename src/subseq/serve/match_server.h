@@ -8,7 +8,8 @@
 // an admission/coalescing loop on a dedicated service thread:
 //
 //   clients --Submit--> RequestQueue --DrainWait--> admission batch
-//     -> PlanCoalesce: group by (IndexKind, epsilon)
+//     -> PlanCoalesce: group by (IndexKind, epsilon — Type III's
+//        epsilon_max, the one epsilon its filter runs at)
 //     -> CoalescedFilterSegments: ONE shared BatchRangeQuery per group,
 //        per-query demux of hits + per-query stats split
 //     -> per-query step 5 (verification) dispatched to the ThreadPool
@@ -275,10 +276,8 @@ class MatchServer {
   void ServeBatch(std::vector<Pending>* batch);
   /// Hands one request's remaining work to the pool as a detached task.
   void Dispatch(std::function<MatchResult()> work, Promise<MatchResult> promise);
-  /// Runs a request whole through the library (Type III and fallbacks).
-  MatchResult RunDirect(const SubsequenceMatcher<T>& m,
-                        const MatchRequest<T>& request) const;
-  /// Step 5 for a request whose filter was coalesced.
+  /// Step 5 (for Type III, its epsilon search too) for a request whose
+  /// filter was coalesced.
   MatchResult RunFromHits(const SubsequenceMatcher<T>& m,
                           const MatchRequest<T>& request,
                           const std::vector<SegmentHit>& hits,

@@ -43,7 +43,7 @@ const char* KindName(IndexKind kind) {
 }
 
 struct RunConfig {
-  int32_t num_threads = 1;  // 1 also disables Type III probe pipelining
+  int32_t num_threads = 1;
   int32_t verify_threads = 1;
   int32_t shards = 0;
   int64_t max_verifications = 5'000'000;
@@ -150,8 +150,8 @@ void ExpectVerifyDeterminism(const SequenceDatabase<T>& db,
                              std::span<const T> query, double epsilon) {
   for (const IndexKind kind : kAllKinds) {
     SCOPED_TRACE(KindName(kind));
-    // The baseline is fully sequential: one filter thread (which also
-    // disables Type III probe pipelining), one verify thread, one index.
+    // The baseline is fully sequential: one filter thread, one verify
+    // thread, one index.
     const Outcome<T> baseline = RunPipeline(
         db, dist, query, kind, epsilon,
         RunConfig{/*num_threads=*/1, /*verify_threads=*/1, /*shards=*/0});

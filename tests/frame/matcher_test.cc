@@ -3,11 +3,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <optional>
 #include <set>
+#include <span>
+#include <string>
+#include <string_view>
+#include <utility>
 
 #include "subseq/core/rng.h"
+#include "subseq/data/protein_gen.h"
+#include "subseq/data/song_gen.h"
+#include "subseq/data/trajectory_gen.h"
 #include "subseq/distance/dtw.h"
 #include "subseq/distance/erp.h"
+#include "subseq/distance/frechet.h"
 #include "subseq/distance/levenshtein.h"
 #include "testing/helpers.h"
 
@@ -513,6 +523,306 @@ TEST(MatcherTypeIIITest, RejectsBadIncrement) {
                      .ValueOrDie();
   EXPECT_EQ(matcher->NearestMatch(query.view(), 2.0, 0.0).status().code(),
             StatusCode::kInvalidArgument);
+  // Non-finite schedules: the library applies the serving front door's
+  // rule instead of answering from a degenerate schedule.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::pair<double, double> bad_schedules[] = {
+      {5.0, nan}, {5.0, inf}, {nan, 0.7}, {inf, 0.7}, {-inf, 0.7},
+      {5.0, -inf}};
+  for (const auto& [epsilon_max, epsilon_increment] : bad_schedules) {
+    const std::string where = std::to_string(epsilon_max) + ", " +
+                              std::to_string(epsilon_increment);
+    EXPECT_EQ(matcher->NearestMatch(query.view(), epsilon_max,
+                                    epsilon_increment)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << where;
+    EXPECT_EQ(matcher->NearestMatchFromHits(query.view(), {}, epsilon_max,
+                                            epsilon_increment)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << where;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Type III from one filter pass.
+
+constexpr IndexKind kAllKinds[] = {
+    IndexKind::kReferenceNet, IndexKind::kCoverTree, IndexKind::kMvIndex,
+    IndexKind::kVpTree, IndexKind::kLinearScan};
+constexpr IndexKind kScanOnly[] = {IndexKind::kLinearScan};
+
+/// The Type III schedule as the paper states it, run serially with a
+/// fresh filter pass at every probe: the reference that NearestMatch's
+/// one-pass replay must reproduce. `stats` receives step 5's chains and
+/// verifications only.
+template <typename T>
+Result<std::optional<SubsequenceMatch>> NearestMatchByProbing(
+    const SubsequenceMatcher<T>& matcher, std::span<const T> query,
+    double epsilon_max, double epsilon_increment, MatchQueryStats* stats) {
+  if (matcher.FilterSegments(query, epsilon_max).empty()) {
+    return std::optional<SubsequenceMatch>();
+  }
+  double lo = 0.0;
+  double hi = epsilon_max;
+  for (int iter = 0; iter < 48 && hi - lo > epsilon_increment / 2.0;
+       ++iter) {
+    const double mid = lo + (hi - lo) / 2.0;
+    if (matcher.FilterSegments(query, mid).empty()) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  for (double eps = hi;; eps += epsilon_increment) {
+    const double clamped = std::min(eps, epsilon_max);
+    const std::vector<SegmentHit> hits =
+        matcher.FilterSegments(query, clamped);
+    auto found = matcher.LongestMatchFromHits(query, hits, clamped, stats);
+    if (!found.ok() || found.value().has_value()) return found;
+    if (clamped >= epsilon_max) break;
+  }
+  return std::optional<SubsequenceMatch>();
+}
+
+/// `count` cuts of database sequences, each with length / 5 elements
+/// replaced by `mutate`: close to, but mostly not exactly, a database
+/// region, so the minimum hit distance varies across queries.
+template <typename T, typename Mutate>
+std::vector<std::vector<T>> MutatedCuts(const SequenceDatabase<T>& db,
+                                        int32_t count, int32_t length,
+                                        uint64_t seed, Mutate mutate) {
+  Rng rng(seed);
+  std::vector<std::vector<T>> queries;
+  while (static_cast<int32_t>(queries.size()) < count) {
+    const Sequence<T>& seq =
+        db.at(static_cast<SeqId>(rng.NextBounded(db.size())));
+    if (seq.size() < length) continue;
+    const int32_t offset = static_cast<int32_t>(
+        rng.NextBounded(static_cast<uint64_t>(seq.size() - length + 1)));
+    const auto view = seq.Subsequence(Interval{offset, offset + length});
+    std::vector<T> query(view.begin(), view.end());
+    for (int32_t e = 0; e < length / 5; ++e) {
+      T& x = query[rng.NextBounded(static_cast<uint64_t>(length))];
+      x = mutate(&rng, x);
+    }
+    queries.push_back(std::move(query));
+  }
+  return queries;
+}
+
+struct Schedule {
+  double epsilon_max;
+  double epsilon_increment;
+};
+
+/// Over every kind in `kinds` at threads 1 and 4, every query and every
+/// schedule: (a) the hit set at epsilon_max * k / 8 (k = 0..8) equals
+/// the epsilon_max hit set restricted to distance <= epsilon, element
+/// for element; (b) NearestMatch returns NearestMatchByProbing's match,
+/// chains and verifications.
+template <typename T>
+void ExpectNearestMatchFromOnePass(const SequenceDatabase<T>& db,
+                                   const SequenceDistance<T>& dist,
+                                   std::span<const IndexKind> kinds,
+                                   const std::vector<std::vector<T>>& queries,
+                                   std::span<const Schedule> schedules) {
+  int32_t found = 0;
+  for (const IndexKind kind : kinds) {
+    for (const int32_t threads : {1, 4}) {
+      MatcherOptions options;
+      options.lambda = 16;
+      options.lambda0 = 1;
+      options.index_kind = kind;
+      options.exec.num_threads = threads;
+      auto matcher =
+          std::move(SubsequenceMatcher<T>::Build(db, dist, options))
+              .ValueOrDie();
+      for (size_t q = 0; q < queries.size(); ++q) {
+        const std::span<const T> query(queries[q]);
+        for (const Schedule& schedule : schedules) {
+          SCOPED_TRACE("kind " + std::to_string(static_cast<int>(kind)) +
+                       " threads " + std::to_string(threads) + " query " +
+                       std::to_string(q) + " schedule " +
+                       std::to_string(schedule.epsilon_max) + "/" +
+                       std::to_string(schedule.epsilon_increment));
+          const std::vector<SegmentHit> all =
+              matcher->FilterSegments(query, schedule.epsilon_max);
+          for (int k = 0; k <= 8; ++k) {
+            const double epsilon = schedule.epsilon_max * k / 8.0;
+            const std::vector<SegmentHit> hits =
+                matcher->FilterSegments(query, epsilon);
+            std::vector<SegmentHit> restricted;
+            for (const SegmentHit& hit : all) {
+              if (hit.distance <= epsilon) restricted.push_back(hit);
+            }
+            ASSERT_EQ(hits.size(), restricted.size()) << "epsilon " << epsilon;
+            for (size_t i = 0; i < hits.size(); ++i) {
+              EXPECT_EQ(hits[i].query_segment, restricted[i].query_segment);
+              EXPECT_EQ(hits[i].window, restricted[i].window);
+              EXPECT_EQ(hits[i].distance, restricted[i].distance);
+            }
+          }
+
+          MatchQueryStats got_stats;
+          MatchQueryStats want_stats;
+          auto got =
+              matcher->NearestMatch(query, schedule.epsilon_max,
+                                    schedule.epsilon_increment, &got_stats);
+          auto want = NearestMatchByProbing(*matcher, query,
+                                            schedule.epsilon_max,
+                                            schedule.epsilon_increment,
+                                            &want_stats);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          ASSERT_TRUE(want.ok()) << want.status().ToString();
+          ASSERT_EQ(got.value().has_value(), want.value().has_value());
+          if (got.value().has_value()) {
+            EXPECT_EQ(*got.value(), *want.value());
+            EXPECT_EQ(got.value()->distance, want.value()->distance);
+            ++found;
+          }
+          EXPECT_EQ(got_stats.chains, want_stats.chains);
+          EXPECT_EQ(got_stats.verifications, want_stats.verifications);
+        }
+      }
+    }
+  }
+  EXPECT_GT(found, 0) << "no query found a pair; the sweep tests nothing";
+}
+
+char MutateResidue(Rng* rng, char) {
+  constexpr std::string_view kResidues = "ACDEFGHIKLMNPQRSTVWY";
+  return kResidues[rng->NextBounded(kResidues.size())];
+}
+
+double MutateSample(Rng* rng, double x) {
+  return x + rng->NextDouble(-1.5, 1.5);
+}
+
+Point2d MutatePoint(Rng* rng, Point2d p) {
+  return Point2d{p.x + rng->NextDouble(-1.5, 1.5),
+                 p.y + rng->NextDouble(-1.5, 1.5)};
+}
+
+TEST(MatcherTypeIIITest, OnePassLevenshtein) {
+  ProteinGenerator gen(ProteinGenOptions{.mean_length = 60, .seed = 1701});
+  const auto db = gen.GenerateDatabaseWithWindows(30, 8);
+  const LevenshteinDistance<char> dist;
+  const Schedule schedules[] = {{2.0, 1.0}, {4.0, 0.7}, {3.0, 0.25}};
+  ExpectNearestMatchFromOnePass<char>(
+      db, dist, kAllKinds, MutatedCuts(db, 10, 20, 1702, MutateResidue),
+      schedules);
+}
+
+SequenceDatabase<double> SweepSeries() {
+  SongGenerator gen(SongGenOptions{.mean_length = 60, .seed = 1703});
+  return gen.GenerateDatabaseWithWindows(30, 8);
+}
+
+SequenceDatabase<Point2d> SweepTrajectories() {
+  TrajectoryGenerator gen(
+      TrajectoryGenOptions{.mean_length = 60, .seed = 1705});
+  return gen.GenerateDatabaseWithWindows(30, 8);
+}
+
+// Schedules for the distances that sum ground costs (ERP, DTW) and for
+// the one that takes their maximum (Frechet).
+constexpr Schedule kSeriesSums[] = {{4.0, 1.0}, {8.0, 1.5}, {3.0, 0.4}};
+constexpr Schedule kSeriesMaxima[] = {{1.5, 0.5}, {3.0, 0.7}, {1.0, 0.25}};
+constexpr Schedule kTrajectorySums[] = {{5.0, 1.0}, {10.0, 1.5}, {3.0, 0.4}};
+constexpr Schedule kTrajectoryMaxima[] = {
+    {2.0, 0.5}, {4.0, 0.7}, {1.5, 0.25}};
+
+TEST(MatcherTypeIIITest, OnePassErp1D) {
+  const auto db = SweepSeries();
+  ExpectNearestMatchFromOnePass<double>(
+      db, ErpDistance1D(), kAllKinds,
+      MutatedCuts(db, 10, 20, 1704, MutateSample), kSeriesSums);
+}
+
+TEST(MatcherTypeIIITest, OnePassFrechet1D) {
+  const auto db = SweepSeries();
+  ExpectNearestMatchFromOnePass<double>(
+      db, FrechetDistance1D(), kAllKinds,
+      MutatedCuts(db, 10, 20, 1704, MutateSample), kSeriesMaxima);
+}
+
+TEST(MatcherTypeIIITest, OnePassDtw1D) {
+  const auto db = SweepSeries();
+  ExpectNearestMatchFromOnePass<double>(
+      db, DtwDistance1D(), kScanOnly,
+      MutatedCuts(db, 10, 20, 1704, MutateSample), kSeriesSums);
+}
+
+TEST(MatcherTypeIIITest, OnePassErp2D) {
+  const auto db = SweepTrajectories();
+  ExpectNearestMatchFromOnePass<Point2d>(
+      db, ErpDistance2D(), kAllKinds,
+      MutatedCuts(db, 10, 20, 1706, MutatePoint), kTrajectorySums);
+}
+
+TEST(MatcherTypeIIITest, OnePassFrechet2D) {
+  const auto db = SweepTrajectories();
+  ExpectNearestMatchFromOnePass<Point2d>(
+      db, FrechetDistance2D(), kAllKinds,
+      MutatedCuts(db, 10, 20, 1706, MutatePoint), kTrajectoryMaxima);
+}
+
+TEST(MatcherTypeIIITest, OnePassDtw2D) {
+  const auto db = SweepTrajectories();
+  ExpectNearestMatchFromOnePass<Point2d>(
+      db, DtwDistance2D(), kScanOnly,
+      MutatedCuts(db, 10, 20, 1706, MutatePoint), kTrajectorySums);
+}
+
+TEST(MatcherTypeIIITest, BillsExactlyOneFilterPass) {
+  // NearestMatch == FilterSegments at epsilon_max + NearestMatchFromHits:
+  // the filter counters are one pass's, step 5's are the replay's.
+  ProteinGenerator gen(ProteinGenOptions{.mean_length = 80, .seed = 1707});
+  const auto db = gen.GenerateDatabaseWithWindows(60, 10);
+  const LevenshteinDistance<char> dist;
+  const std::vector<char> query =
+      MutatedCuts(db, 1, 36, 1708, MutateResidue).front();
+  const double epsilon_max = 4.0;
+  const double epsilon_increment = 0.5;
+  for (const IndexKind kind :
+       {IndexKind::kReferenceNet, IndexKind::kLinearScan}) {
+    for (const int32_t threads : {1, 4}) {
+      SCOPED_TRACE("kind " + std::to_string(static_cast<int>(kind)) +
+                   " threads " + std::to_string(threads));
+      MatcherOptions options;
+      options.lambda = 20;
+      options.lambda0 = 2;
+      options.index_kind = kind;
+      options.exec.num_threads = threads;
+      auto matcher =
+          std::move(SubsequenceMatcher<char>::Build(db, dist, options))
+              .ValueOrDie();
+      MatchQueryStats one_pass;
+      const std::vector<SegmentHit> hits =
+          matcher->FilterSegments(query, epsilon_max, &one_pass);
+      MatchQueryStats from_hits;
+      auto want = matcher->NearestMatchFromHits(
+          query, hits, epsilon_max, epsilon_increment, &from_hits);
+      MatchQueryStats stats;
+      auto got = matcher->NearestMatch(query, epsilon_max,
+                                       epsilon_increment, &stats);
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ASSERT_TRUE(got.value().has_value());
+      EXPECT_EQ(got.value(), want.value());
+      EXPECT_GT(one_pass.hits, 0);
+      EXPECT_EQ(stats.segments, one_pass.segments);
+      EXPECT_EQ(stats.filter_computations, one_pass.filter_computations);
+      EXPECT_EQ(stats.hits, one_pass.hits);
+      EXPECT_EQ(stats.chains, from_hits.chains);
+      EXPECT_EQ(stats.verifications, from_hits.verifications);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -198,21 +198,25 @@ TEST(MatchServerDeterminismTest, SongsMatchSerialAcrossConcurrency) {
 }
 
 TEST(CoalescerTest, PlanGroupsByKindAndEpsilonInAdmissionOrder) {
+  // A Type III request filters once, at its epsilon_max: keyed on it, it
+  // shares a group with a Type I request at that epsilon.
+  MatchRequest<char> nearest;
+  nearest.type = MatchQueryType::kNearestMatch;
+  nearest.epsilon_max = 1.0;
+  nearest.epsilon_increment = 0.25;
   const std::vector<CoalesceKey> keys = {
-      {IndexKind::kLinearScan, 1.0, true},    // 0 -> group 0
-      {IndexKind::kCoverTree, 1.0, true},     // 1 -> group 1
-      {IndexKind::kLinearScan, 1.0, true},    // 2 -> group 0
-      {IndexKind::kLinearScan, 2.0, true},    // 3 -> group 2 (new epsilon)
-      {IndexKind::kLinearScan, 1.0, false},   // 4 -> singleton group 3
-      {IndexKind::kLinearScan, 1.0, true},    // 5 -> group 0
+      {IndexKind::kLinearScan, 1.0},                  // 0 -> group 0
+      {IndexKind::kCoverTree, 1.0},                   // 1 -> group 1
+      {IndexKind::kLinearScan, 1.0},                  // 2 -> group 0
+      {IndexKind::kLinearScan, 2.0},                  // 3 -> group 2
+      {IndexKind::kLinearScan, nearest.epsilon_max},  // 4 -> group 0
+      {IndexKind::kLinearScan, 1.0},                  // 5 -> group 0
   };
   const std::vector<CoalesceGroup> groups = PlanCoalesce(keys);
-  ASSERT_EQ(groups.size(), 4u);
-  EXPECT_EQ(groups[0].members, (std::vector<size_t>{0, 2, 5}));
+  ASSERT_EQ(groups.size(), 3u);
+  EXPECT_EQ(groups[0].members, (std::vector<size_t>{0, 2, 4, 5}));
   EXPECT_EQ(groups[1].members, (std::vector<size_t>{1}));
   EXPECT_EQ(groups[2].members, (std::vector<size_t>{3}));
-  EXPECT_EQ(groups[3].members, (std::vector<size_t>{4}));
-  EXPECT_FALSE(groups[3].coalescable);
   size_t covered = 0;
   for (const CoalesceGroup& g : groups) covered += g.members.size();
   EXPECT_EQ(covered, keys.size());
@@ -501,16 +505,24 @@ TEST(MatchServerCacheTest, WarmRoundsAreBitIdenticalAndSkipIndexWork) {
                                db, dist, matcher_options))
                      .ValueOrDie();
 
-  // Coalescable-only workload (Type III runs its own schedule outside
-  // the cache) answered serially for ground truth.
+  // The Type I/II requests and the Type III ones (keyed on their
+  // epsilon_max, so they never share an entry with the others), each
+  // answered serially for ground truth.
   std::vector<MatchRequest<char>> workload;
+  std::vector<MatchRequest<char>> nearest_workload;
   for (const MatchRequest<char>& r : MakeWorkload(db, 1.0, 12)) {
-    if (r.type != MatchQueryType::kNearestMatch) workload.push_back(r);
+    (r.type == MatchQueryType::kNearestMatch ? nearest_workload : workload)
+        .push_back(r);
   }
-  std::vector<MatchResult> serial;
-  for (const MatchRequest<char>& request : workload) {
-    serial.push_back(RunSerial(*matcher, request));
-  }
+  const auto serial_of = [&](const std::vector<MatchRequest<char>>& in) {
+    std::vector<MatchResult> out;
+    for (const MatchRequest<char>& request : in) {
+      out.push_back(RunSerial(*matcher, request));
+    }
+    return out;
+  };
+  const std::vector<MatchResult> serial = serial_of(workload);
+  const std::vector<MatchResult> nearest_serial = serial_of(nearest_workload);
 
   MatchServerOptions server_options;
   server_options.matcher = matcher_options;
@@ -518,17 +530,19 @@ TEST(MatchServerCacheTest, WarmRoundsAreBitIdenticalAndSkipIndexWork) {
       std::move(MatchServer<char>::Start(db, dist, server_options))
           .ValueOrDie();
 
-  const auto run_round = [&](const std::string& round) {
-    std::vector<Future<MatchResult>> futures(workload.size());
+  const auto run_round = [&](const std::vector<MatchRequest<char>>& requests,
+                             const std::vector<MatchResult>& serial,
+                             const std::string& round) {
+    std::vector<Future<MatchResult>> futures(requests.size());
     std::vector<std::thread> clients;
-    for (size_t i = 0; i < workload.size(); ++i) {
+    for (size_t i = 0; i < requests.size(); ++i) {
       clients.emplace_back([&, i] {
-        MatchRequest<char> request = workload[i];
+        MatchRequest<char> request = requests[i];
         futures[i] = server->Submit(std::move(request));
       });
     }
     for (std::thread& t : clients) t.join();
-    for (size_t i = 0; i < workload.size(); ++i) {
+    for (size_t i = 0; i < requests.size(); ++i) {
       MatchResult served = futures[i].Get();
       const std::string where = round + " request " + std::to_string(i);
       EXPECT_EQ(served.status, serial[i].status) << where;
@@ -541,13 +555,25 @@ TEST(MatchServerCacheTest, WarmRoundsAreBitIdenticalAndSkipIndexWork) {
     }
   };
 
-  run_round("cold");
+  run_round(workload, serial, "cold");
   const ServeStats after_cold = server->stats();
   EXPECT_GT(after_cold.cache_misses, 0);
 
-  run_round("warm");
+  run_round(workload, serial, "warm");
   const ServeStats after_warm = server->stats();
+
+  // Type III's one filter pass goes through the same cache: a warm
+  // repeat is answered without index work too.
+  run_round(nearest_workload, nearest_serial, "Type III cold");
+  const ServeStats after_nearest_cold = server->stats();
+  run_round(nearest_workload, nearest_serial, "Type III warm");
+  const ServeStats after_nearest_warm = server->stats();
   server->Shutdown();
+  EXPECT_GT(after_nearest_cold.cache_misses, after_warm.cache_misses);
+  EXPECT_GT(after_nearest_warm.cache_hits, after_nearest_cold.cache_hits);
+  EXPECT_EQ(after_nearest_warm.cache_misses, after_nearest_cold.cache_misses);
+  EXPECT_EQ(after_nearest_warm.filter_computations,
+            after_nearest_cold.filter_computations);
 
   // Every unique segment of the warm round was already resident, so the
   // warm round hit for all of them and executed no new filter work while
