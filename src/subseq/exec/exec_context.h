@@ -63,24 +63,9 @@ struct ExecContext {
   /// ResolvePartition (metric/partitioned_index.h).
   int32_t routing_cells = 0;
 
-  /// Worker budget for step-5 verification (candidate-region and chain
-  /// verification in the frame layer), which is scheduled separately from
-  /// the filter because its per-region costs are highly skewed. 0 (the
-  /// default) inherits the num_threads resolution; 1 forces the
-  /// sequential reference path. Like every exec knob it trades wall-clock
-  /// only: matches, stats, and budget-exceeded errors are element-wise
-  /// identical at any setting.
-  int32_t num_verify_threads = 0;
-
   /// The effective thread budget (always >= 1).
   int32_t ResolvedThreads() const {
     return num_threads > 0 ? num_threads : ResolveHardwareConcurrency();
-  }
-
-  /// The effective step-5 verification thread budget (always >= 1):
-  /// num_verify_threads if set, otherwise the num_threads resolution.
-  int32_t ResolvedVerifyThreads() const {
-    return num_verify_threads > 0 ? num_verify_threads : ResolvedThreads();
   }
 };
 

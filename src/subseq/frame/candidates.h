@@ -63,10 +63,9 @@ struct WindowChain {
 /// The inclusive SX-end range [first, second] a step-5 enumerator scans
 /// for one (SX begin, SQ length) inside a region — empty when
 /// first > second. The single source of truth for this bound: the
-/// verifiers (region and chain search), the budget's
-/// RegionVerificationCount, and the speculative chain scan all share it,
-/// so the budget charge can never drift from the work the verifiers
-/// actually enumerate.
+/// verifiers (region and chain search) and the budget's
+/// RegionVerificationCount share it, so the budget charge can never
+/// drift from the work the verifiers actually enumerate.
 inline std::pair<int32_t, int32_t> SxEndRange(const CandidateRegion& region,
                                               int32_t xb, int32_t qlen,
                                               int32_t lambda,

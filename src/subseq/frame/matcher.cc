@@ -2,21 +2,16 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cmath>
 #include <cstddef>
-#include <functional>
-#include <limits>
 #include <memory>
 #include <set>
 #include <string>
 #include <type_traits>
-#include <unordered_map>
 
 #include "subseq/core/check.h"
 #include "subseq/exec/parallel_for.h"
 #include "subseq/exec/stats_sink.h"
-#include "subseq/exec/verify_budget.h"
 #include "subseq/frame/lb_prefilter.h"
 #include "subseq/metric/linear_scan.h"
 #include "subseq/metric/partitioned_index.h"
@@ -31,32 +26,6 @@ using MatchKey = std::array<int32_t, 5>;
 MatchKey KeyOf(const SubsequenceMatch& m) {
   return MatchKey{m.seq, m.query.begin, m.query.end, m.db.begin, m.db.end};
 }
-
-// One verification tuple of the Type II chain search, and the memo the
-// speculative parallel phase fills for the serial replay.
-struct PairKey {
-  int32_t qb = 0;
-  int32_t qe = 0;
-  int32_t xb = 0;
-  int32_t xe = 0;
-  friend bool operator==(const PairKey& a, const PairKey& b) {
-    return a.qb == b.qb && a.qe == b.qe && a.xb == b.xb && a.xe == b.xe;
-  }
-};
-
-struct PairKeyHash {
-  size_t operator()(const PairKey& k) const {
-    uint64_t h = (static_cast<uint64_t>(static_cast<uint32_t>(k.qb)) << 32) |
-                 static_cast<uint32_t>(k.qe);
-    h ^= ((static_cast<uint64_t>(static_cast<uint32_t>(k.xb)) << 32) |
-          static_cast<uint32_t>(k.xe)) +
-         0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    return std::hash<uint64_t>{}(h);
-  }
-};
-
-// distance(SQ, SX) per tuple one speculative chain scan computed.
-using ChainMemo = std::unordered_map<PairKey, double, PairKeyHash>;
 
 // Hits per ComputeMany call in the per-hit distance fill. Big enough to
 // feed the vertical 4-lane kernels several packs, small enough that the
@@ -181,161 +150,6 @@ Result<std::unique_ptr<RangeIndex>> BuildBaseIndex(
   return std::unique_ptr<RangeIndex>(std::move(built).ValueOrDie());
 }
 
-// Speculative half of the parallel Type II chain search: scans chains
-// concurrently (chunked work-stealing — chain costs are skewed), sharing
-// an atomic best-length bound so a chain that cannot produce a match at
-// least as long as one already found anywhere is pruned across workers.
-// Every distance computed lands in that chain's memo; the serial replay
-// below consumes the memo so its walk pays hash lookups instead of
-// dynamic-programming alignments. The bound prunes only *strictly
-// shorter* scans — the serial tie-break (earliest chain wins at equal
-// length) needs equal-length candidates from earlier chains intact.
-// Speculation charges its own budget so pruning-starved edge cases (the
-// replay raises budget-exceeded anyway) cannot spend unbounded work.
-template <typename T>
-void SpeculateChains(const SequenceDatabase<T>& db,
-                     const SequenceDistance<T>& dist,
-                     const WindowCatalog& catalog,
-                     const MatcherOptions& options, std::span<const T> query,
-                     std::span<const WindowChain> chains, double epsilon,
-                     const ExecContext& verify_exec,
-                     std::vector<ChainMemo>* memos) {
-  const int32_t l = catalog.window_length();
-  const int32_t lambda = options.lambda;
-  const int32_t lambda0 = options.lambda0;
-  std::atomic<int32_t> best_len{0};
-  VerifyBudget speculation_budget(options.max_verifications);
-
-  ParallelForDynamic(
-      verify_exec, static_cast<int64_t>(chains.size()),
-      [&](int64_t lo, int64_t hi, int32_t) {
-        for (int64_t i = lo; i < hi; ++i) {
-          if (speculation_budget.exceeded()) return;
-          const WindowChain& chain = chains[static_cast<size_t>(i)];
-          const int32_t chain_qlen_bound = (chain.length + 2) * l + lambda0;
-          if (best_len.load(std::memory_order_relaxed) >= chain_qlen_bound) {
-            continue;  // cannot reach the bound, let alone beat it
-          }
-          const CandidateRegion region = ExpandChain(
-              chain, catalog, lambda, lambda0,
-              static_cast<int32_t>(query.size()), db.at(chain.seq).size());
-          const Sequence<T>& seq = db.at(chain.seq);
-          ChainMemo& memo = (*memos)[static_cast<size_t>(i)];
-
-          const int32_t qlen_max = region.q_end_max - region.q_begin_min;
-          bool found_in_chain = false;
-          for (int32_t qlen = qlen_max; qlen >= lambda && !found_in_chain;
-               --qlen) {
-            if (qlen < best_len.load(std::memory_order_relaxed)) break;
-            for (int32_t qb = region.q_begin_min;
-                 qb <= region.q_begin_max && !found_in_chain; ++qb) {
-              const int32_t qe = qb + qlen;
-              if (qe < region.q_end_min || qe > region.q_end_max) continue;
-              const auto sq = query.subspan(static_cast<size_t>(qb),
-                                            static_cast<size_t>(qlen));
-              for (int32_t xb = region.x_begin_min;
-                   xb <= region.x_begin_max && !found_in_chain; ++xb) {
-                const auto [xe_lo, xe_hi] =
-                    SxEndRange(region, xb, qlen, lambda, lambda0);
-                for (int32_t xe = xe_lo; xe <= xe_hi; ++xe) {
-                  if (!speculation_budget.Charge(1)) return;
-                  const auto sx = seq.Subsequence(Interval{xb, xe});
-                  const double d = dist.ComputeBounded(sq, sx, epsilon);
-                  memo.emplace(PairKey{qb, qe, xb, xe}, d);
-                  if (d <= epsilon) {
-                    found_in_chain = true;
-                    int32_t cur = best_len.load(std::memory_order_relaxed);
-                    while (qlen > cur &&
-                           !best_len.compare_exchange_weak(
-                               cur, qlen, std::memory_order_relaxed)) {
-                    }
-                    break;
-                  }
-                }
-              }
-            }
-          }
-        }
-      },
-      /*grain=*/1);
-}
-
-// The longest-first chain search — the sequential reference algorithm.
-// With empty `memos` this IS the serial Type II step 5; with memos from
-// SpeculateChains it replays the identical control flow (same walk, same
-// budget decrements, same stats, same tie-breaks), reusing memoized
-// distances and computing only the tuples speculation never reached.
-template <typename T>
-Result<std::optional<SubsequenceMatch>> ChainSearchReplay(
-    const SequenceDatabase<T>& db, const SequenceDistance<T>& dist,
-    const WindowCatalog& catalog, const MatcherOptions& options,
-    std::span<const T> query, std::span<const WindowChain> chains,
-    double epsilon, std::span<const ChainMemo> memos,
-    MatchQueryStats* stats) {
-  const int32_t l = catalog.window_length();
-  const int32_t lambda = options.lambda;
-  const int32_t lambda0 = options.lambda0;
-  std::optional<SubsequenceMatch> best;
-  int64_t budget = options.max_verifications;
-
-  for (size_t c = 0; c < chains.size(); ++c) {
-    const WindowChain& chain = chains[c];
-    // A chain of k windows cannot support |SX| >= (k + 2) * l (the match
-    // would contain another window, which would be part of the chain), so
-    // |SQ| < (k + 2) * l + lambda0. Chains are sorted longest-first.
-    const int32_t chain_qlen_bound = (chain.length + 2) * l + lambda0;
-    if (best.has_value() && best->query.length() >= chain_qlen_bound) break;
-
-    const CandidateRegion region = ExpandChain(
-        chain, catalog, lambda, lambda0, static_cast<int32_t>(query.size()),
-        db.at(chain.seq).size());
-    const Sequence<T>& seq = db.at(chain.seq);
-    const ChainMemo* memo = c < memos.size() ? &memos[c] : nullptr;
-
-    const int32_t qlen_max = region.q_end_max - region.q_begin_min;
-    bool found_in_chain = false;
-    for (int32_t qlen = qlen_max; qlen >= lambda && !found_in_chain;
-         --qlen) {
-      if (best.has_value() && qlen <= best->query.length()) break;
-      for (int32_t qb = region.q_begin_min;
-           qb <= region.q_begin_max && !found_in_chain; ++qb) {
-        const int32_t qe = qb + qlen;
-        if (qe < region.q_end_min || qe > region.q_end_max) continue;
-        const auto sq = query.subspan(static_cast<size_t>(qb),
-                                      static_cast<size_t>(qlen));
-        for (int32_t xb = region.x_begin_min;
-             xb <= region.x_begin_max && !found_in_chain; ++xb) {
-          const auto [xe_lo, xe_hi] =
-              SxEndRange(region, xb, qlen, lambda, lambda0);
-          for (int32_t xe = xe_lo; xe <= xe_hi; ++xe) {
-            if (--budget < 0) {
-              return Status::OutOfRange(
-                  "LongestMatch exceeded max_verifications");
-            }
-            if (stats != nullptr) ++stats->verifications;
-            double d;
-            ChainMemo::const_iterator it;
-            if (memo != nullptr &&
-                (it = memo->find(PairKey{qb, qe, xb, xe})) != memo->end()) {
-              d = it->second;
-            } else {
-              const auto sx = seq.Subsequence(Interval{xb, xe});
-              d = dist.ComputeBounded(sq, sx, epsilon);
-            }
-            if (d <= epsilon) {
-              best = SubsequenceMatch{chain.seq, Interval{qb, qe},
-                                      Interval{xb, xe}, d};
-              found_in_chain = true;  // qlen descends: first hit is max here
-              break;
-            }
-          }
-        }
-      }
-    }
-  }
-  return best;
-}
-
 }  // namespace
 
 Status MatcherOptions::Validate() const {
@@ -362,11 +176,11 @@ Status MatcherOptions::Validate() const {
         "max_verifications must be positive; a negative budget is invalid "
         "rather than unlimited — use a large positive cap");
   }
-  if (exec.num_threads < 0 || exec.num_verify_threads < 0 ||
-      exec.num_shards < 0 || exec.routing_cells < 0) {
+  if (exec.num_threads < 0 || exec.num_shards < 0 ||
+      exec.routing_cells < 0) {
     return Status::InvalidArgument(
-        "ExecContext knobs (num_threads, num_verify_threads, num_shards, "
-        "routing_cells) must be >= 0; 0 resolves to the default");
+        "ExecContext knobs (num_threads, num_shards, routing_cells) must be "
+        ">= 0; 0 resolves to the default");
   }
   if (exec.num_shards > 1 && exec.routing_cells > 1) {
     return Status::InvalidArgument(
@@ -798,10 +612,9 @@ std::vector<SegmentHit> SubsequenceMatcher<T>::FilterSegments(
 
 template <typename T>
 template <typename OnMatch>
-bool SubsequenceMatcher<T>::VerifyRegion(std::span<const T> query,
+void SubsequenceMatcher<T>::VerifyRegion(std::span<const T> query,
                                          const CandidateRegion& region,
-                                         double epsilon, int64_t* budget,
-                                         MatchQueryStats* stats,
+                                         double epsilon, MatchQueryStats* stats,
                                          OnMatch&& on_match) const {
   const int32_t lambda = options_.lambda;
   const int32_t lambda0 = options_.lambda0;
@@ -817,7 +630,6 @@ bool SubsequenceMatcher<T>::VerifyRegion(std::span<const T> query,
         const auto [xe_lo, xe_hi] =
             SxEndRange(region, xb, qlen, lambda, lambda0);
         for (int32_t xe = xe_lo; xe <= xe_hi; ++xe) {
-          if (--(*budget) < 0) return false;
           const auto sx = seq.Subsequence(Interval{xb, xe});
           if (stats != nullptr) ++stats->verifications;
           const double d = dist_.ComputeBounded(sq, sx, epsilon);
@@ -829,6 +641,64 @@ bool SubsequenceMatcher<T>::VerifyRegion(std::span<const T> query,
       }
     }
   }
+}
+
+template <typename T>
+bool SubsequenceMatcher<T>::ChainSearch(
+    std::span<const T> query, std::span<const SegmentHit> hits,
+    double epsilon, int64_t* budget, MatchQueryStats* stats,
+    std::optional<SubsequenceMatch>* longest) const {
+  const std::vector<WindowChain> chains = BuildChains(hits, *catalog_);
+  if (stats != nullptr) stats->chains += static_cast<int64_t>(chains.size());
+  const int32_t l = catalog_->window_length();
+  const int32_t lambda = options_.lambda;
+  const int32_t lambda0 = options_.lambda0;
+  std::optional<SubsequenceMatch> best;
+
+  for (const WindowChain& chain : chains) {
+    // A chain of k windows cannot support |SX| >= (k + 2) * l (the match
+    // would contain another window, which would be part of the chain), so
+    // |SQ| < (k + 2) * l + lambda0. Chains are sorted longest-first.
+    const int32_t chain_qlen_bound = (chain.length + 2) * l + lambda0;
+    if (best.has_value() && best->query.length() >= chain_qlen_bound) break;
+
+    const CandidateRegion region = ExpandChain(
+        chain, *catalog_, lambda, lambda0, static_cast<int32_t>(query.size()),
+        db_->at(chain.seq).size());
+    const Sequence<T>& seq = db_->at(chain.seq);
+
+    const int32_t qlen_max = region.q_end_max - region.q_begin_min;
+    bool found_in_chain = false;
+    for (int32_t qlen = qlen_max; qlen >= lambda && !found_in_chain;
+         --qlen) {
+      if (best.has_value() && qlen <= best->query.length()) break;
+      for (int32_t qb = region.q_begin_min;
+           qb <= region.q_begin_max && !found_in_chain; ++qb) {
+        const int32_t qe = qb + qlen;
+        if (qe < region.q_end_min || qe > region.q_end_max) continue;
+        const auto sq = query.subspan(static_cast<size_t>(qb),
+                                      static_cast<size_t>(qlen));
+        for (int32_t xb = region.x_begin_min;
+             xb <= region.x_begin_max && !found_in_chain; ++xb) {
+          const auto [xe_lo, xe_hi] =
+              SxEndRange(region, xb, qlen, lambda, lambda0);
+          for (int32_t xe = xe_lo; xe <= xe_hi; ++xe) {
+            if (--(*budget) < 0) return false;
+            if (stats != nullptr) ++stats->verifications;
+            const auto sx = seq.Subsequence(Interval{xb, xe});
+            const double d = dist_.ComputeBounded(sq, sx, epsilon);
+            if (d <= epsilon) {
+              best = SubsequenceMatch{chain.seq, Interval{qb, qe},
+                                      Interval{xb, xe}, d};
+              found_in_chain = true;  // qlen descends: first hit is max here
+              break;
+            }
+          }
+        }
+      }
+    }
+  }
+  *longest = best;
   return true;
 }
 
@@ -858,18 +728,17 @@ Result<std::vector<SubsequenceMatch>> SubsequenceMatcher<T>::RangeSearchFromHits
 
   // Exact budget accounting before any verification: every region fully
   // charges its enumeration count (RegionVerificationCount mirrors the
-  // verify loops pair for pair), so exhaustion here <=> the serial walk
-  // would run out of budget mid-stream. The serial path performs exactly
-  // max_verifications distance computations before raising; reproducing
-  // that count without burning the work keeps the observables — status
-  // and stats — identical while the error path costs nothing.
-  VerifyBudget budget(options_.max_verifications);
+  // verify loops pair for pair), so the running sum passing the cap <=>
+  // the serial walk would run out of budget mid-stream. The serial path
+  // performs exactly max_verifications distance computations before
+  // raising; reproducing that count without burning the work keeps the
+  // observables — status and stats — identical while the error path
+  // costs nothing.
   int64_t total_cost = 0;
   for (const CandidateRegion& region : regions) {
-    const int64_t cost =
+    total_cost +=
         RegionVerificationCount(region, options_.lambda, options_.lambda0);
-    total_cost += cost;
-    if (!budget.Charge(cost)) {
+    if (total_cost > options_.max_verifications) {
       if (stats != nullptr) {
         stats->verifications += options_.max_verifications;
       }
@@ -882,14 +751,11 @@ Result<std::vector<SubsequenceMatch>> SubsequenceMatcher<T>::RangeSearchFromHits
 
   std::vector<SubsequenceMatch> matches;
   std::set<MatchKey> seen;
-  // The budget is fully charged: no verify path below can exhaust it.
-  int64_t charged = std::numeric_limits<int64_t>::max();
 
-  const int32_t verify_threads = options_.exec.ResolvedVerifyThreads();
-  if (verify_threads <= 1 || regions.size() <= 1) {
+  if (options_.exec.ResolvedThreads() <= 1 || regions.size() <= 1) {
     // The sequential reference path.
     for (const CandidateRegion& region : regions) {
-      VerifyRegion(query, region, epsilon, &charged, stats,
+      VerifyRegion(query, region, epsilon, stats,
                    [&](const SubsequenceMatch& m) {
                      if (seen.insert(KeyOf(m)).second) matches.push_back(m);
                    });
@@ -905,18 +771,14 @@ Result<std::vector<SubsequenceMatch>> SubsequenceMatcher<T>::RangeSearchFromHits
   // exact serial match order — so dedup keeps first occurrences
   // identically and the result is element-wise equal at any thread
   // count.
-  ExecContext verify_exec = options_.exec;
-  verify_exec.num_threads = verify_threads;
   std::vector<std::vector<SubsequenceMatch>> region_matches(regions.size());
   StatsSink verify_sink;
   ParallelForDynamic(
-      verify_exec, static_cast<int64_t>(regions.size()),
+      options_.exec, static_cast<int64_t>(regions.size()),
       [&](int64_t lo, int64_t hi, int32_t) {
         MatchQueryStats local;
-        int64_t local_charged = std::numeric_limits<int64_t>::max();
         for (int64_t i = lo; i < hi; ++i) {
-          VerifyRegion(query, regions[static_cast<size_t>(i)], epsilon,
-                       &local_charged, &local,
+          VerifyRegion(query, regions[static_cast<size_t>(i)], epsilon, &local,
                        [&](const SubsequenceMatch& m) {
                          region_matches[static_cast<size_t>(i)].push_back(m);
                        });
@@ -950,29 +812,12 @@ SubsequenceMatcher<T>::LongestMatchFromHits(std::span<const T> query,
                                             std::span<const SegmentHit> hits,
                                             double epsilon,
                                             MatchQueryStats* stats) const {
-  const std::vector<WindowChain> chains = BuildChains(hits, *catalog_);
-  if (stats != nullptr) stats->chains += static_cast<int64_t>(chains.size());
-
-  // The longest-first search carries a best-so-far bound across chains,
-  // so its exact control flow is a sequential fold. Parallelism comes
-  // from *speculation*: workers scan chains concurrently under a shared
-  // atomic best-length bound and memoize every distance; the serial
-  // replay then walks the reference algorithm over the memo, so the
-  // match, the stats, and budget-exceeded behavior are bit-identical to
-  // the sequential path while the alignments were computed in parallel.
-  std::vector<ChainMemo> memos;
-  const int32_t verify_threads = options_.exec.ResolvedVerifyThreads();
-  if (verify_threads > 1 && chains.size() > 1) {
-    ExecContext verify_exec = options_.exec;
-    verify_exec.num_threads = verify_threads;
-    memos.resize(chains.size());
-    SpeculateChains(*db_, dist_, *catalog_, options_, query,
-                    std::span<const WindowChain>(chains), epsilon,
-                    verify_exec, &memos);
+  int64_t budget = options_.max_verifications;
+  std::optional<SubsequenceMatch> longest;
+  if (!ChainSearch(query, hits, epsilon, &budget, stats, &longest)) {
+    return Status::OutOfRange("LongestMatch exceeded max_verifications");
   }
-  return ChainSearchReplay(*db_, dist_, *catalog_, options_, query,
-                           std::span<const WindowChain>(chains), epsilon,
-                           std::span<const ChainMemo>(memos), stats);
+  return longest;
 }
 
 template <typename T>
@@ -1032,7 +877,9 @@ SubsequenceMatcher<T>::NearestMatchFromHits(std::span<const T> query,
   // unclamped eps overshooting would skip the final epsilon_max round
   // whenever (epsilon_max - hi) is not close to a multiple of the
   // increment, silently missing pairs with distance in the last partial
-  // increment.
+  // increment. max_verifications caps the query, so every round draws
+  // on one budget.
+  int64_t budget = options_.max_verifications;
   std::vector<SegmentHit> round_hits;
   round_hits.reserve(hits.size());
   for (double eps = hi;; eps += epsilon_increment) {
@@ -1041,9 +888,12 @@ SubsequenceMatcher<T>::NearestMatchFromHits(std::span<const T> query,
     for (const SegmentHit& hit : hits) {
       if (hit.distance <= clamped) round_hits.push_back(hit);
     }
-    auto found = LongestMatchFromHits(query, round_hits, clamped, stats);
-    SUBSEQ_RETURN_NOT_OK(found.status());
-    if (found.value().has_value()) return found;
+    std::optional<SubsequenceMatch> found;
+    if (!ChainSearch(query, round_hits, clamped, &budget, stats, &found)) {
+      return Status::OutOfRange(
+          "NearestMatch exceeded max_verifications across its growth rounds");
+    }
+    if (found.has_value()) return found;
     if (clamped >= epsilon_max) break;
   }
   return std::optional<SubsequenceMatch>();

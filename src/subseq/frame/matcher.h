@@ -93,23 +93,21 @@ struct MatcherOptions {
   /// Status::OutOfRange (Type I can be combinatorial by design). Must be
   /// >= 1: 0 would reject every query whose filter produces any
   /// candidate, and negative values are invalid rather than "unlimited"
-  /// — Validate() (and so Build) refuses both explicitly. The cap is
-  /// exact at any exec setting: concurrent verification charges the
-  /// budget in full region units before working (exec/verify_budget.h),
-  /// so budget-exceeded is raised iff the serial walk would raise it,
-  /// with identical stats.
+  /// — Validate() (and so Build) refuses both explicitly. Each pair is
+  /// charged before its distance is computed, so an exhausted query
+  /// reports verifications == max_verifications. Type I charges every
+  /// candidate region's whole count before verifying any, so
+  /// budget-exceeded is raised iff the serial walk would raise it, at
+  /// any exec setting and with no distance work. Type III's growth
+  /// rounds draw on one budget.
   int64_t max_verifications = 5'000'000;
-  /// Thread budget for index construction (step 2) and the batched
-  /// segment filter (step 4). num_threads = 0 (the default) uses the
-  /// hardware concurrency; 1 is fully sequential. Results and stats are
-  /// identical at any setting — the knob trades wall-clock time only.
-  /// Pushed down into reference_net / mv_index / vp_tree at Build unless
-  /// that index's own exec was set explicitly (num_threads != 0).
-  ///
-  /// exec.num_verify_threads budgets step-5 verification separately
-  /// (region costs are highly skewed, so verification uses chunked
-  /// work-stealing scheduling rather than the filter's even split);
-  /// 0 = inherit num_threads, 1 = the sequential reference path.
+  /// Thread budget for index construction (step 2), the batched segment
+  /// filter (step 4) and Type I's step-5 region verification.
+  /// num_threads = 0 (the default) uses the hardware concurrency; 1 is
+  /// fully sequential. Results and stats are identical at any setting —
+  /// the knob trades wall-clock time only. Pushed down into
+  /// reference_net / mv_index / vp_tree at Build unless that index's own
+  /// exec was set explicitly (num_threads != 0).
   ///
   /// exec.num_shards > 1 partitions the window catalog into that many
   /// contiguous shards and builds one index of index_kind per shard
@@ -368,14 +366,14 @@ class SubsequenceMatcher {
   /// accounted for its own work). Thread-safe.
   ///
   /// Candidate regions are verified concurrently over
-  /// options().exec.ResolvedVerifyThreads() with chunked work-stealing
-  /// scheduling (region costs are skewed) and a deterministic merge in
-  /// region order, then ascending (SQ, SX) within a region — the exact
-  /// serial order. The verification budget charges whole regions before
-  /// they verify, so matches, stats, and budget-exceeded errors are
-  /// element-wise identical at any verify-thread count; on exhaustion no
-  /// distance work runs at all (the serial path burns the whole budget
-  /// first — same observables, less work).
+  /// options().exec.num_threads with chunked work-stealing scheduling
+  /// (region costs are skewed) and a deterministic merge in region order,
+  /// then ascending (SQ, SX) within a region — the exact serial order.
+  /// The verification budget charges whole regions before they verify,
+  /// so matches, stats, and budget-exceeded errors are element-wise
+  /// identical at any thread count; on exhaustion no distance work runs
+  /// at all (the serial path burns the whole budget first — same
+  /// observables, less work).
   Result<std::vector<SubsequenceMatch>> RangeSearchFromHits(
       std::span<const T> query, std::span<const SegmentHit> hits,
       double epsilon, MatchQueryStats* stats = nullptr) const;
@@ -390,15 +388,10 @@ class SubsequenceMatcher {
   /// longest-first chain search. LongestMatch == FilterSegments +
   /// LongestMatchFromHits; same contract as RangeSearchFromHits.
   ///
-  /// With more than one verify thread, chains are searched speculatively
-  /// in parallel first — workers share an atomic best-length bound that
-  /// prunes strictly-shorter chain scans across workers and memoize
-  /// every distance they compute — and the longest-first serial walk
-  /// then *replays* over the memo: its control flow (and so the reported
-  /// match, stats, and budget-exceeded behavior) is exactly the
-  /// sequential algorithm's, while the expensive distance computations
-  /// were already done concurrently. Tuples the speculation did not
-  /// reach are computed on demand during the replay.
+  /// The search runs serially on the calling thread at any exec setting:
+  /// it carries the best match's length from chain to chain and stops at
+  /// the first chain that cannot beat it, so it computes exactly the
+  /// distances it bills as verifications.
   Result<std::optional<SubsequenceMatch>> LongestMatchFromHits(
       std::span<const T> query, std::span<const SegmentHit> hits,
       double epsilon, MatchQueryStats* stats = nullptr) const;
@@ -427,9 +420,11 @@ class SubsequenceMatcher {
   /// epsilon_max is `hits` restricted to distance <= epsilon, in the same
   /// canonical order: the binary search and every growth round read
   /// their probe off `hits` instead of filtering again, and each round
-  /// runs LongestMatchFromHits on its restriction. Same contract as
-  /// RangeSearchFromHits: `stats` accumulates chains and verifications
-  /// only. Validates the schedule like NearestMatch. Thread-safe.
+  /// runs LongestMatchFromHits' chain search on its restriction. All
+  /// rounds draw on one max_verifications budget; exhausting it returns
+  /// OutOfRange. Same contract as RangeSearchFromHits: `stats`
+  /// accumulates chains and verifications only. Validates the schedule
+  /// like NearestMatch. Thread-safe.
   Result<std::optional<SubsequenceMatch>> NearestMatchFromHits(
       std::span<const T> query, std::span<const SegmentHit> hits,
       double epsilon_max, double epsilon_increment,
@@ -538,11 +533,21 @@ class SubsequenceMatcher {
       SequenceDatabase<T> db) const;
 
   /// Verifies all pairs in a region; invokes `on_match` for each pair
-  /// within epsilon. Returns false if the verification cap was exhausted.
+  /// within epsilon. The caller has charged the region's whole
+  /// RegionVerificationCount against the budget.
   template <typename OnMatch>
-  bool VerifyRegion(std::span<const T> query, const CandidateRegion& region,
-                    double epsilon, int64_t* budget,
-                    MatchQueryStats* stats, OnMatch&& on_match) const;
+  void VerifyRegion(std::span<const T> query, const CandidateRegion& region,
+                    double epsilon, MatchQueryStats* stats,
+                    OnMatch&& on_match) const;
+
+  /// Type II step 5 over `hits`: chain building plus the serial
+  /// longest-first chain search. Each pair charges *budget before its
+  /// distance is computed; returns false once the budget runs out.
+  /// Otherwise *longest is the longest match (the earliest chain wins a
+  /// tie), or nullopt.
+  bool ChainSearch(std::span<const T> query, std::span<const SegmentHit> hits,
+                   double epsilon, int64_t* budget, MatchQueryStats* stats,
+                   std::optional<SubsequenceMatch>* longest) const;
 
   /// The current epoch's database. Heap-held so the window oracle (and
   /// the shared EpochBase, for a fresh build) can reference it beyond

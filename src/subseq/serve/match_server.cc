@@ -427,13 +427,11 @@ void MatchServer<T>::ServeBatch(std::vector<Pending>* batch) {
     }
 
     // Step 5 per member, detached: the loop moves on to the next group /
-    // admission round while pool workers verify. Each task enters the
-    // library's parallel verification path (RangeSearchFromHits /
-    // LongestMatchFromHits, which NearestMatchFromHits runs per growth
-    // round), whose work-stealing loop fans candidate regions out across
-    // idle pool workers even though it was entered from a worker — a
-    // query with a heavy verification tail no longer serializes on its
-    // one detached task.
+    // admission round while pool workers verify. A Type I task's
+    // RangeSearchFromHits fans candidate regions out across idle pool
+    // workers even though it was entered from a worker, so a heavy
+    // verification tail does not serialize on its one detached task.
+    // Types II and III run the serial chain search on their task.
     for (size_t g = 0; g < group.members.size(); ++g) {
       Pending& p = (*batch)[alive[group.members[g]]];
       Dispatch(

@@ -16,13 +16,13 @@
 //        via SubmitDetached; the completion callback fulfills the
 //        query's Future — the loop never blocks on verification and
 //        immediately drains the arrivals that accumulated meanwhile.
-//        The dispatched task is an entry point, not a confinement: the
-//        matcher's step 5 routes through the library's parallel
-//        verification path (chunked work-stealing over candidate
-//        regions, exec.num_verify_threads), which still fans out from
-//        inside a pool worker — so one admitted query's verification
-//        tail spreads across idle workers instead of serializing on the
-//        one detached task that carried it.
+//        The dispatched task is an entry point, not a confinement: Type
+//        I's step 5 verifies candidate regions by chunked work-stealing
+//        over exec.num_threads, which still fans out from inside a pool
+//        worker — so one admitted query's verification tail spreads
+//        across idle workers instead of serializing on the one detached
+//        task that carried it. Types II and III run the serial chain
+//        search on their task.
 //
 // Serving contract (the same determinism bar as the library): a request
 // answered through the server is element-wise identical — matches,

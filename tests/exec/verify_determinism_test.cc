@@ -2,13 +2,13 @@
 // wall-clock. For every IndexKind, on PROTEINS and SONGS, the matcher
 // must return element-wise identical Type I / II / III matches AND
 // pipeline stats (segments, filter_computations, hits, chains,
-// verifications) across num_verify_threads 1 vs 8 and shard counts
-// 1 vs 4 — num_verify_threads = 1 being the sequential reference
-// algorithm the parallel paths are defined against. Budget exhaustion
+// verifications) across num_threads 1 vs 8 and shard counts 1 vs 4 —
+// num_threads = 1 being the sequential reference algorithm Type I's
+// parallel region verification is defined against. Budget exhaustion
 // is part of the contract: a query that trips max_verifications must
 // error with the identical status AND identical stats at every thread
-// count (the budget is charged in full units before work, so exhaustion
-// is schedule-independent).
+// count (Type I charges every region's full count before work, so
+// exhaustion is schedule-independent).
 
 #include <gtest/gtest.h>
 
@@ -44,7 +44,6 @@ const char* KindName(IndexKind kind) {
 
 struct RunConfig {
   int32_t num_threads = 1;
-  int32_t verify_threads = 1;
   int32_t shards = 0;
   int64_t max_verifications = 5'000'000;
 };
@@ -75,7 +74,6 @@ Outcome<T> RunPipeline(const SequenceDatabase<T>& db,
   options.index_kind = kind;
   options.max_verifications = config.max_verifications;
   options.exec.num_threads = config.num_threads;
-  options.exec.num_verify_threads = config.verify_threads;
   options.exec.num_shards = config.shards;
   auto matcher =
       std::move(SubsequenceMatcher<T>::Build(db, dist, options)).ValueOrDie();
@@ -150,11 +148,10 @@ void ExpectVerifyDeterminism(const SequenceDatabase<T>& db,
                              std::span<const T> query, double epsilon) {
   for (const IndexKind kind : kAllKinds) {
     SCOPED_TRACE(KindName(kind));
-    // The baseline is fully sequential: one filter thread, one verify
-    // thread, one index.
+    // The baseline is fully sequential: one thread, one index.
     const Outcome<T> baseline = RunPipeline(
         db, dist, query, kind, epsilon,
-        RunConfig{/*num_threads=*/1, /*verify_threads=*/1, /*shards=*/0});
+        RunConfig{/*num_threads=*/1, /*shards=*/0});
     EXPECT_TRUE(baseline.range_status.ok())
         << baseline.range_status.ToString();
     // Sanity: the workload exercises verification, not just the filter.
@@ -163,21 +160,17 @@ void ExpectVerifyDeterminism(const SequenceDatabase<T>& db,
 
     for (const int32_t num_threads : {1, 8}) {
       for (const int32_t shards : {1, 4}) {
-        for (const int32_t verify_threads : {1, 8}) {
-          SCOPED_TRACE("num_threads=" + std::to_string(num_threads) +
-                       " shards=" + std::to_string(shards) +
-                       " verify_threads=" + std::to_string(verify_threads));
-          const Outcome<T> got = RunPipeline(
-              db, dist, query, kind, epsilon,
-              RunConfig{num_threads, verify_threads, shards});
-          // K small indexes prune differently than one large one; only
-          // the unsharded runs (and LinearScan, which never prunes) must
-          // agree on filter_computations. Everything else is
-          // element-wise exact.
-          const bool same_filter_cost =
-              shards <= 1 || kind == IndexKind::kLinearScan;
-          ExpectOutcomesEqual(got, baseline, same_filter_cost);
-        }
+        SCOPED_TRACE("num_threads=" + std::to_string(num_threads) +
+                     " shards=" + std::to_string(shards));
+        const Outcome<T> got = RunPipeline(db, dist, query, kind, epsilon,
+                                           RunConfig{num_threads, shards});
+        // K small indexes prune differently than one large one; only
+        // the unsharded runs (and LinearScan, which never prunes) must
+        // agree on filter_computations. Everything else is
+        // element-wise exact.
+        const bool same_filter_cost =
+            shards <= 1 || kind == IndexKind::kLinearScan;
+        ExpectOutcomesEqual(got, baseline, same_filter_cost);
       }
     }
   }
@@ -221,34 +214,28 @@ TEST(VerifyDeterminismTest, BudgetExceededErrorsIdenticallyAtAllSettings) {
 
   const Outcome<char> baseline = RunPipeline(
       db, dist, std::span<const char>(query), IndexKind::kReferenceNet, 1.0,
-      RunConfig{/*num_threads=*/1, /*verify_threads=*/1, /*shards=*/0,
-                /*max_verifications=*/64});
+      RunConfig{/*num_threads=*/1, /*shards=*/0, /*max_verifications=*/64});
   ASSERT_EQ(baseline.range_status.code(), StatusCode::kOutOfRange);
   EXPECT_EQ(baseline.range_stats.verifications, 64);
 
   for (const int32_t num_threads : {1, 8}) {
     for (const int32_t shards : {1, 4}) {
-      for (const int32_t verify_threads : {1, 8}) {
-        SCOPED_TRACE("num_threads=" + std::to_string(num_threads) +
-                     " shards=" + std::to_string(shards) +
-                     " verify_threads=" + std::to_string(verify_threads));
-        const Outcome<char> got = RunPipeline(
-            db, dist, std::span<const char>(query), IndexKind::kReferenceNet,
-            1.0,
-            RunConfig{num_threads, verify_threads, shards,
-                      /*max_verifications=*/64});
-        ExpectOutcomesEqual(got, baseline, shards <= 1);
-      }
+      SCOPED_TRACE("num_threads=" + std::to_string(num_threads) +
+                   " shards=" + std::to_string(shards));
+      const Outcome<char> got = RunPipeline(
+          db, dist, std::span<const char>(query), IndexKind::kReferenceNet,
+          1.0, RunConfig{num_threads, shards, /*max_verifications=*/64});
+      ExpectOutcomesEqual(got, baseline, shards <= 1);
     }
   }
 }
 
 TEST(VerifyDeterminismTest, TypeIIBudgetExceededIdenticalAcrossThreads) {
   // LongestMatch trips its budget mid-walk (the count depends on the
-  // search's early exits, not a closed form); the speculative parallel
-  // path must replay the identical walk and raise identically. A random
-  // query at a generous epsilon gives the chain search many hits but no
-  // early verified pair, so a small budget reliably trips.
+  // search's early exits, not a closed form); the walk must raise
+  // identically at every thread count. A random query at a generous
+  // epsilon gives the chain search many hits but no early verified
+  // pair, so a small budget reliably trips.
   ProteinGenerator gen(ProteinGenOptions{.mean_length = 80, .seed = 504});
   const auto db = gen.GenerateDatabaseWithWindows(60, 10);
   const LevenshteinDistance<char> dist;
@@ -258,20 +245,15 @@ TEST(VerifyDeterminismTest, TypeIIBudgetExceededIdenticalAcrossThreads) {
 
   const Outcome<char> baseline = RunPipeline(
       db, dist, std::span<const char>(query), IndexKind::kLinearScan, 8.0,
-      RunConfig{/*num_threads=*/1, /*verify_threads=*/1, /*shards=*/0,
-                /*max_verifications=*/16});
+      RunConfig{/*num_threads=*/1, /*shards=*/0, /*max_verifications=*/16});
   ASSERT_EQ(baseline.longest_status.code(), StatusCode::kOutOfRange);
 
   for (const int32_t num_threads : {1, 8}) {
-    for (const int32_t verify_threads : {1, 8}) {
-      SCOPED_TRACE("num_threads=" + std::to_string(num_threads) +
-                   " verify_threads=" + std::to_string(verify_threads));
-      const Outcome<char> got = RunPipeline(
-          db, dist, std::span<const char>(query), IndexKind::kLinearScan, 8.0,
-          RunConfig{num_threads, verify_threads, /*shards=*/0,
-                    /*max_verifications=*/16});
-      ExpectOutcomesEqual(got, baseline, /*expect_same_filter_cost=*/true);
-    }
+    SCOPED_TRACE("num_threads=" + std::to_string(num_threads));
+    const Outcome<char> got = RunPipeline(
+        db, dist, std::span<const char>(query), IndexKind::kLinearScan, 8.0,
+        RunConfig{num_threads, /*shards=*/0, /*max_verifications=*/16});
+    ExpectOutcomesEqual(got, baseline, /*expect_same_filter_cost=*/true);
   }
 }
 

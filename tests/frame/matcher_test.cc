@@ -25,6 +25,7 @@ namespace subseq {
 namespace {
 
 using ::subseq::testing::BruteForceRangeSearch;
+using ::subseq::testing::CountingDistance;
 using ::subseq::testing::RandomString;
 using ::subseq::testing::SortMatches;
 
@@ -297,9 +298,9 @@ TEST(MatcherOptionsTest, NegativeVerificationBudgetIsRejectedExplicitly) {
 
 TEST(MatcherOptionsTest, NegativeExecKnobsAreRejected) {
   MatcherOptions options;
-  options.exec.num_verify_threads = -1;
+  options.exec.routing_cells = -1;
   EXPECT_EQ(options.Validate().code(), StatusCode::kInvalidArgument);
-  options.exec.num_verify_threads = 0;
+  options.exec.routing_cells = 0;
   options.exec.num_threads = -2;
   EXPECT_EQ(options.Validate().code(), StatusCode::kInvalidArgument);
   options.exec.num_threads = 0;
@@ -821,6 +822,120 @@ TEST(MatcherTypeIIITest, BillsExactlyOneFilterPass) {
       EXPECT_EQ(stats.hits, one_pass.hits);
       EXPECT_EQ(stats.chains, from_hits.chains);
       EXPECT_EQ(stats.verifications, from_hits.verifications);
+    }
+  }
+}
+
+TEST(MatcherTypeIIITest, GrowthRoundsShareOneVerificationBudget) {
+  // max_verifications caps the whole query, not each growth round. The
+  // cap lies between the largest single round and the rounds' total:
+  // the per-round reference (a fresh budget per round) fits under it,
+  // so only a budget shared across rounds trips.
+  ProteinGenerator gen(ProteinGenOptions{.mean_length = 80, .seed = 1709});
+  const auto db = gen.GenerateDatabaseWithWindows(300, 10);
+  const LevenshteinDistance<char> dist;
+  const std::vector<char> query =
+      MutatedCuts(db, 1, 36, 1718, MutateResidue).front();
+  const double epsilon_max = 6.0;
+  const double epsilon_increment = 0.5;
+  const int64_t cap = 9000;
+  for (const int32_t threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    MatcherOptions options;
+    options.lambda = 20;
+    options.lambda0 = 2;
+    options.max_verifications = cap;
+    options.exec.num_threads = threads;
+    auto matcher =
+        std::move(SubsequenceMatcher<char>::Build(db, dist, options))
+            .ValueOrDie();
+    MatchQueryStats rounds;
+    auto per_round = NearestMatchByProbing(
+        *matcher, std::span<const char>(query), epsilon_max,
+        epsilon_increment, &rounds);
+    ASSERT_TRUE(per_round.ok()) << per_round.status().ToString();
+    ASSERT_TRUE(per_round.value().has_value());
+    ASSERT_GT(rounds.verifications, cap);
+
+    MatchQueryStats stats;
+    auto got = matcher->NearestMatch(query, epsilon_max, epsilon_increment,
+                                     &stats);
+    EXPECT_EQ(got.status().code(), StatusCode::kOutOfRange);
+    EXPECT_NE(got.status().ToString().find("NearestMatch"),
+              std::string::npos)
+        << got.status().ToString();
+    EXPECT_EQ(stats.verifications, cap);
+
+    const std::vector<SegmentHit> hits =
+        matcher->FilterSegments(query, epsilon_max);
+    MatchQueryStats from_hits;
+    auto got_from_hits = matcher->NearestMatchFromHits(
+        query, hits, epsilon_max, epsilon_increment, &from_hits);
+    EXPECT_EQ(got_from_hits.status().code(), StatusCode::kOutOfRange);
+    EXPECT_EQ(from_hits.verifications, cap);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Step 5 computes exactly the distances it bills.
+
+TEST(MatcherStep5Test, DistanceCallsEqualBilledVerifications) {
+  // Every step-5 entry point, at any thread count, makes one distance
+  // call per verification it bills and no other. The queries have at
+  // least two chains, so a Type II search that computed distances for
+  // chains the serial walk never reaches would show here.
+  ProteinGenerator gen(ProteinGenOptions{.mean_length = 80, .seed = 1709});
+  const auto db = gen.GenerateDatabaseWithWindows(300, 10);
+  const LevenshteinDistance<char> inner;
+  const CountingDistance<char> dist(inner);
+  const std::vector<std::vector<char>> queries =
+      MutatedCuts(db, 2, 36, 1723, MutateResidue);
+  const double epsilon = 2.0;
+  const double epsilon_max = 3.0;
+  const double epsilon_increment = 0.5;
+  for (const IndexKind kind :
+       {IndexKind::kReferenceNet, IndexKind::kLinearScan}) {
+    for (const int32_t threads : {1, 4, 8}) {
+      MatcherOptions options;
+      options.lambda = 20;
+      options.lambda0 = 2;
+      options.index_kind = kind;
+      options.exec.num_threads = threads;
+      auto matcher =
+          std::move(SubsequenceMatcher<char>::Build(db, dist, options))
+              .ValueOrDie();
+      for (size_t q = 0; q < queries.size(); ++q) {
+        SCOPED_TRACE("kind " + std::to_string(static_cast<int>(kind)) +
+                     " threads " + std::to_string(threads) + " query " +
+                     std::to_string(q));
+        const std::span<const char> query(queries[q]);
+        const std::vector<SegmentHit> hits =
+            matcher->FilterSegments(query, epsilon);
+        const std::vector<SegmentHit> hits_max =
+            matcher->FilterSegments(query, epsilon_max);
+
+        MatchQueryStats longest;
+        int64_t before = dist.computes();
+        ASSERT_TRUE(
+            matcher->LongestMatchFromHits(query, hits, epsilon, &longest)
+                .ok());
+        ASSERT_GE(longest.chains, 2);
+        EXPECT_EQ(dist.computes() - before, longest.verifications);
+
+        MatchQueryStats nearest;
+        before = dist.computes();
+        ASSERT_TRUE(matcher
+                        ->NearestMatchFromHits(query, hits_max, epsilon_max,
+                                               epsilon_increment, &nearest)
+                        .ok());
+        EXPECT_EQ(dist.computes() - before, nearest.verifications);
+
+        MatchQueryStats range;
+        before = dist.computes();
+        ASSERT_TRUE(
+            matcher->RangeSearchFromHits(query, hits, epsilon, &range).ok());
+        EXPECT_EQ(dist.computes() - before, range.verifications);
+      }
     }
   }
 }

@@ -23,9 +23,12 @@
 #include "subseq/serve/match_server.h"
 #include "subseq/serve/request_queue.h"
 #include "subseq/serve/segment_cache.h"
+#include "testing/helpers.h"
 
 namespace subseq {
 namespace {
+
+using ::subseq::testing::CountingDistance;
 
 void ExpectStatsEqual(const MatchQueryStats& a, const MatchQueryStats& b,
                       const std::string& where) {
@@ -305,37 +308,6 @@ TEST(CoalescerTest, DuplicateQueriesShareTheWholeFilter) {
                      "member " + std::to_string(m));
   }
 }
-
-/// Counts every distance evaluation delegated to the wrapped measure —
-/// index traversals and per-hit distance fills alike — so tests can
-/// assert exactly how much distance work a code path executed.
-template <typename T>
-class CountingDistance : public SequenceDistance<T> {
- public:
-  explicit CountingDistance(const SequenceDistance<T>& inner)
-      : inner_(inner) {}
-
-  double Compute(std::span<const T> a, std::span<const T> b) const override {
-    computes_.fetch_add(1, std::memory_order_relaxed);
-    return inner_.Compute(a, b);
-  }
-  double ComputeBounded(std::span<const T> a, std::span<const T> b,
-                        double upper_bound) const override {
-    computes_.fetch_add(1, std::memory_order_relaxed);
-    return inner_.ComputeBounded(a, b, upper_bound);
-  }
-  std::string_view name() const override { return inner_.name(); }
-  bool is_metric() const override { return inner_.is_metric(); }
-  bool is_consistent() const override { return inner_.is_consistent(); }
-
-  int64_t computes() const {
-    return computes_.load(std::memory_order_relaxed);
-  }
-
- private:
-  const SequenceDistance<T>& inner_;
-  mutable std::atomic<int64_t> computes_{0};
-};
 
 TEST(CoalescerTest, DistanceWorkIsIndependentOfOwnerCount) {
   // The tentpole invariant for the shared per-hit distance pass: N

@@ -1,11 +1,15 @@
 // Shared test utilities: random element vectors, simple metric-space
-// oracles, and a brute-force subsequence searcher used as ground truth.
+// oracles, a distance that counts its evaluations, and a brute-force
+// subsequence searcher used as ground truth.
 
 #ifndef SUBSEQ_TESTS_TESTING_HELPERS_H_
 #define SUBSEQ_TESTS_TESTING_HELPERS_H_
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <span>
+#include <string_view>
 #include <vector>
 
 #include "subseq/core/rng.h"
@@ -92,6 +96,38 @@ class PlanePointOracle final : public DistanceOracle {
 
  private:
   std::vector<Point2d> points_;
+};
+
+/// Counts every distance evaluation delegated to the wrapped measure —
+/// index traversals, per-hit distance fills and step-5 verifications
+/// alike — so tests can assert exactly how much distance work a code
+/// path executed. Thread-safe.
+template <typename T>
+class CountingDistance : public SequenceDistance<T> {
+ public:
+  explicit CountingDistance(const SequenceDistance<T>& inner)
+      : inner_(inner) {}
+
+  double Compute(std::span<const T> a, std::span<const T> b) const override {
+    computes_.fetch_add(1, std::memory_order_relaxed);
+    return inner_.Compute(a, b);
+  }
+  double ComputeBounded(std::span<const T> a, std::span<const T> b,
+                        double upper_bound) const override {
+    computes_.fetch_add(1, std::memory_order_relaxed);
+    return inner_.ComputeBounded(a, b, upper_bound);
+  }
+  std::string_view name() const override { return inner_.name(); }
+  bool is_metric() const override { return inner_.is_metric(); }
+  bool is_consistent() const override { return inner_.is_consistent(); }
+
+  int64_t computes() const {
+    return computes_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  const SequenceDistance<T>& inner_;
+  mutable std::atomic<int64_t> computes_{0};
 };
 
 /// All subsequence pairs (SQ, SX) over the whole database satisfying the
