@@ -1,5 +1,6 @@
 #include "bench_common.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -55,11 +56,14 @@ SequenceDatabase<Point2d> MakeTrajDb(int32_t num_windows, uint64_t seed) {
 
 namespace {
 
-// Half mutated database windows, half fresh generator output.
+// Half mutated database cuts (each starting at a random window, of
+// `length` elements: the window itself at the window length), half
+// fresh generator output.
 template <typename T, typename MakeFresh, typename MutateWindow>
 std::vector<std::vector<T>> MakeQueries(const SequenceDatabase<T>& db,
                                         const WindowCatalog& catalog,
                                         int32_t count, uint64_t seed,
+                                        int32_t length,
                                         MakeFresh&& make_fresh,
                                         MutateWindow&& mutate) {
   SUBSEQ_CHECK(catalog.num_windows() > 0);
@@ -71,10 +75,13 @@ std::vector<std::vector<T>> MakeQueries(const SequenceDatabase<T>& db,
       const ObjectId w = static_cast<ObjectId>(
           rng.NextBounded(static_cast<uint64_t>(catalog.num_windows())));
       const WindowRef& ref = catalog.at(w);
-      const auto view = db.at(ref.seq).Subsequence(ref.span);
+      const Sequence<T>& seq = db.at(ref.seq);
+      const int32_t begin = std::min(ref.span.begin, seq.size() - length);
+      SUBSEQ_CHECK(begin >= 0);
+      const auto view = seq.Subsequence(Interval{begin, begin + length});
       queries.push_back(mutate(view, &rng));
     } else {
-      queries.push_back(make_fresh(&rng));
+      queries.push_back(make_fresh(&rng, length));
     }
   }
   return queries;
@@ -86,13 +93,13 @@ std::vector<std::vector<char>> MakeProteinQueries(
     const SequenceDatabase<char>& db, const WindowCatalog& catalog,
     int32_t count, uint64_t seed) {
   return MakeQueries<char>(
-      db, catalog, count, seed,
-      [](Rng* rng) {
+      db, catalog, count, seed, kWindowLength,
+      [](Rng* rng, int32_t length) {
         ProteinGenOptions options;
         options.seed = rng->NextU64();
         options.family_fraction = 0.0;
         ProteinGenerator gen(options);
-        return gen.GenerateWithLength(kWindowLength).elements();
+        return gen.GenerateWithLength(length).elements();
       },
       [](std::span<const char> w, Rng* rng) {
         MotifPlanter planter(rng->NextU64());
@@ -104,14 +111,14 @@ std::vector<std::vector<char>> MakeProteinQueries(
 
 std::vector<std::vector<double>> MakeSongQueries(
     const SequenceDatabase<double>& db, const WindowCatalog& catalog,
-    int32_t count, uint64_t seed) {
+    int32_t count, uint64_t seed, int32_t length) {
   return MakeQueries<double>(
-      db, catalog, count, seed,
-      [](Rng* rng) {
+      db, catalog, count, seed, length,
+      [](Rng* rng, int32_t n) {
         SongGenOptions options;
         options.seed = rng->NextU64();
         SongGenerator gen(options);
-        return gen.GenerateWithLength(kWindowLength).elements();
+        return gen.GenerateWithLength(n).elements();
       },
       [](std::span<const double> w, Rng* rng) {
         std::vector<double> out(w.begin(), w.end());
@@ -127,14 +134,14 @@ std::vector<std::vector<double>> MakeSongQueries(
 
 std::vector<std::vector<Point2d>> MakeTrajQueries(
     const SequenceDatabase<Point2d>& db, const WindowCatalog& catalog,
-    int32_t count, uint64_t seed) {
+    int32_t count, uint64_t seed, int32_t length) {
   return MakeQueries<Point2d>(
-      db, catalog, count, seed,
-      [](Rng* rng) {
+      db, catalog, count, seed, length,
+      [](Rng* rng, int32_t n) {
         TrajectoryGenOptions options;
         options.seed = rng->NextU64();
         TrajectoryGenerator gen(options);
-        return gen.GenerateWithLength(kWindowLength).elements();
+        return gen.GenerateWithLength(n).elements();
       },
       [](std::span<const Point2d> w, Rng* rng) {
         std::vector<Point2d> out(w.begin(), w.end());

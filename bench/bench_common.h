@@ -55,18 +55,20 @@ SequenceDatabase<double> MakeSongDb(int32_t num_windows, uint64_t seed);
 /// Builds a trajectory (TRAJ) database holding >= num_windows windows.
 SequenceDatabase<Point2d> MakeTrajDb(int32_t num_windows, uint64_t seed);
 
-/// Query workload: `count` window-length query segments. Half are mutated
-/// copies of database windows (the retrieval scenario the framework
-/// exists for); half are fresh draws from the generator distribution.
+/// Query workload: `count` query segments of `length` elements (the
+/// window length unless given). Half are mutated database cuts starting
+/// at a random window — at the window length, mutated copies of
+/// database windows (the retrieval scenario the framework exists for);
+/// half are fresh draws from the generator distribution.
 std::vector<std::vector<char>> MakeProteinQueries(
     const SequenceDatabase<char>& db, const WindowCatalog& catalog,
     int32_t count, uint64_t seed);
 std::vector<std::vector<double>> MakeSongQueries(
     const SequenceDatabase<double>& db, const WindowCatalog& catalog,
-    int32_t count, uint64_t seed);
+    int32_t count, uint64_t seed, int32_t length = kWindowLength);
 std::vector<std::vector<Point2d>> MakeTrajQueries(
     const SequenceDatabase<Point2d>& db, const WindowCatalog& catalog,
-    int32_t count, uint64_t seed);
+    int32_t count, uint64_t seed, int32_t length = kWindowLength);
 
 /// Builds the named index ("rn", "rn-5", "ct", "mv-5", "mv-20", "mv-50",
 /// "scan") over the oracle.

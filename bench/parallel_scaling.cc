@@ -615,6 +615,100 @@ int Run() {
          {"lb_kim_prune_rate", lb_kim_prune_rate},
          {"erp_prune_rate", erp_prune_rate}}});
 
+    // ------------------------------ the cascade at every segment length
+    // Step 3 cuts query segments of lengths l - lambda0 .. l + lambda0
+    // against windows of length l. LB_Kim and the ERP sum bounds need no
+    // equal lengths, so all 2 * lambda0 + 1 lengths get a bound (LB_Keogh
+    // still runs on the l-length ones only). Rows: the Kim-stage and
+    // 1-D sum-bound prune rates on the SONGS catalog, and the 2-D sum
+    // bound's on a TRAJ catalog, each over segments of every length at
+    // lambda0 = 2 — deterministic count ratios like the rows above. Hits
+    // and billing are CHECKed against the unpruned scans.
+    constexpr int32_t kLambda0 = 2;
+    struct LengthSweep {
+      double kim_rate = 0.0;
+      double erp_rate = 0.0;
+      double plain_ms = 0.0;
+      double cascade_ms = 0.0;
+    };
+    const auto sweep_lengths = [&]<typename T>(
+                                   const SequenceDatabase<T>& db,
+                                   const WindowCatalog& catalog,
+                                   const SequenceDistance<T>& dist,
+                                   const auto& make_queries, double epsilon) {
+      const WindowOracle<T> oracle(db, catalog, dist);
+      const auto features = BuildLbFeatureTable(db, catalog);
+      const LinearScan scan(oracle.size());
+      LengthSweep out;
+      StatsSink plain_sink;
+      StatsSink cascade_sink;
+      for (int32_t length = kWindowLength - kLambda0;
+           length <= kWindowLength + kLambda0; ++length) {
+        const std::vector<std::vector<T>> segments = make_queries(length);
+        std::vector<QueryDistanceFn> plain;
+        std::vector<QueryDistanceFn> pruned;
+        for (const auto& q : segments) {
+          const std::span<const T> seg(q);
+          plain.push_back(oracle.SegmentQuery(seg));
+          PrunableQueryFn prunable;
+          prunable.fn = oracle.SegmentQuery(seg);
+          prunable.lower_bound =
+              MakeSegmentLowerBound(db, catalog, dist, seg, features);
+          SUBSEQ_CHECK(prunable.lower_bound != nullptr);
+          pruned.push_back(QueryDistanceFn(std::move(prunable)));
+        }
+        auto t = std::chrono::steady_clock::now();
+        const auto want =
+            scan.BatchRangeQuery(plain, epsilon, song_exec, &plain_sink);
+        out.plain_ms += MillisSince(t);
+        t = std::chrono::steady_clock::now();
+        const auto got =
+            scan.BatchRangeQuery(pruned, epsilon, song_exec, &cascade_sink);
+        out.cascade_ms += MillisSince(t);
+        SUBSEQ_CHECK(got == want);
+      }
+      SUBSEQ_CHECK(cascade_sink.distance_computations() ==
+                   plain_sink.distance_computations());
+      const double scanned =
+          static_cast<double>(plain_sink.distance_computations());
+      out.kim_rate =
+          static_cast<double>(cascade_sink.lb_kim_pruned()) / scanned;
+      out.erp_rate =
+          static_cast<double>(cascade_sink.lb_erp_pruned()) / scanned;
+      return out;
+    };
+    const auto song_cuts = [&](int32_t length) {
+      return MakeSongQueries(song_db, song_catalog, num_queries, 9, length);
+    };
+    const LengthSweep dtw_lengths =
+        sweep_lengths(song_db, song_catalog, dtw, song_cuts, song_epsilon);
+    const LengthSweep erp_lengths =
+        sweep_lengths(song_db, song_catalog, erp, song_cuts, song_epsilon);
+    const SequenceDatabase<Point2d> traj_db = MakeTrajDb(num_windows, 79);
+    const WindowCatalog traj_catalog =
+        WindowCatalog::PartitionDatabase(traj_db, kWindowLength).ValueOrDie();
+    const ErpDistance2D erp2d;
+    const LengthSweep erp2d_lengths = sweep_lengths(
+        traj_db, traj_catalog, erp2d,
+        [&](int32_t length) {
+          return MakeTrajQueries(traj_db, traj_catalog, num_queries, 11,
+                                 length);
+        },
+        /*epsilon=*/8.0);
+    SUBSEQ_CHECK(dtw_lengths.kim_rate > 0.0 && erp_lengths.erp_rate > 0.0 &&
+                 erp2d_lengths.erp_rate > 0.0);
+    std::printf("%-18s %13.3f %14.3f %14.3f %12.1f %12.1f\n",
+                "lb_cascade_lengths", dtw_lengths.kim_rate,
+                erp_lengths.erp_rate, erp2d_lengths.erp_rate,
+                erp2d_lengths.plain_ms, erp2d_lengths.cascade_ms);
+    records.push_back(BenchRecord{
+        "lb_cascade_lengths",
+        {{"lb_kim_lengths_prune_rate", dtw_lengths.kim_rate},
+         {"erp_lengths_prune_rate", erp_lengths.erp_rate},
+         {"erp2d_prune_rate", erp2d_lengths.erp_rate},
+         {"erp2d_plain_ms", erp2d_lengths.plain_ms},
+         {"erp2d_cascade_ms", erp2d_lengths.cascade_ms}}});
+
     // ------------------------------------------- anti-diagonal DP
     // One long single pair per distance — the plain-Compute path the
     // wavefront kernels accelerate (no batch of 4 to fill). Values are

@@ -28,10 +28,16 @@ LbKimBound::LbKimBound(std::span<const double> query) {
   q_max_ = mx;
 }
 
+namespace {
+
+// The two endpoint couplings (1,1) and (n,m) are distinct DP cells, so
+// their costs add, unless both sequences have one element.
+int UseEndpointSum(int32_t n, int32_t m) { return n + m > 2 ? 1 : 0; }
+
+}  // namespace
+
 double LbKimBound::LowerBound(std::span<const double> candidate) const {
-  if (static_cast<int32_t>(candidate.size()) != length_ || length_ == 0) {
-    return 0.0;
-  }
+  if (candidate.empty() || length_ == 0) return 0.0;
   double cmin = candidate[0];
   double cmax = candidate[0];
   for (size_t i = 1; i < candidate.size(); ++i) {
@@ -39,22 +45,24 @@ double LbKimBound::LowerBound(std::span<const double> candidate) const {
     cmax = std::max(cmax, candidate[i]);
   }
   double out;
-  simd::GetKernels().lb_kim_block(q_first_, q_last_, q_min_, q_max_,
-                                  length_ > 1 ? 1 : 0, &candidate.front(),
-                                  &candidate.back(), &cmin, &cmax, 1, &out);
+  simd::GetKernels().lb_kim_block(
+      q_first_, q_last_, q_min_, q_max_,
+      UseEndpointSum(length_, static_cast<int32_t>(candidate.size())),
+      &candidate.front(), &candidate.back(), &cmin, &cmax, 1, &out);
   return out;
 }
 
 void LbKimBound::LowerBoundMany(const double* first, const double* last,
                                 const double* cmin, const double* cmax,
-                                size_t count, double* out) const {
-  if (length_ == 0) {
+                                size_t count, int32_t candidate_length,
+                                double* out) const {
+  if (length_ == 0 || candidate_length == 0) {
     std::fill(out, out + count, 0.0);
     return;
   }
   simd::GetKernels().lb_kim_block(q_first_, q_last_, q_min_, q_max_,
-                                  length_ > 1 ? 1 : 0, first, last, cmin,
-                                  cmax, count, out);
+                                  UseEndpointSum(length_, candidate_length),
+                                  first, last, cmin, cmax, count, out);
 }
 
 }  // namespace subseq

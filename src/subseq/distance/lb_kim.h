@@ -1,12 +1,17 @@
 // LB_Kim (Kim/Park/Chu, ICDE 2001) — the O(1) first/last/min/max lower
 // bound for DTW, the cheapest stage of the pruning cascade. Any warping
-// path couples (1,1) and (n,m), so |q_first - c_first| and
-// |q_last - c_last| each bound the distance, and when the DP has more
-// than one matched pair (n + m > 2) the two couplings are distinct
-// cells, making their SUM admissible. The extrema terms are admissible
-// because the larger sequence maximum (resp. smaller minimum) must be
-// coupled to SOME element of the other sequence:
+// path couples (1,1) and (n,m), for any n and m, so |q_first - c_first|
+// and |q_last - c_last| each bound the distance, and when the DP has
+// more than one matched pair (n + m > 2, which always holds when
+// n != m) the two couplings are distinct cells, making their SUM
+// admissible. The extrema terms are admissible because the larger
+// sequence maximum (resp. smaller minimum) must be coupled to SOME
+// element of the other sequence:
 //   |max(Q) - max(C)| <= DTW(Q, C),  |min(Q) - min(C)| <= DTW(Q, C).
+// None of this needs equal lengths, so the cascade bounds every query
+// segment length l - lambda0 .. l + lambda0 against the l-length
+// windows with it (LB_Keogh, which does need equal lengths, runs only
+// on the l-length segments).
 //
 // NOTE: LB_Kim is NOT uniformly below LB_Keogh. Counterexample
 // (pinned in tests/distance/lb_cascade_test.cc): Q = [0, 10],
@@ -32,19 +37,19 @@ class LbKimBound {
   /// trivial bound 0 everywhere.
   explicit LbKimBound(std::span<const double> query);
 
-  /// Scalar reference bound for one candidate; 0 (trivially valid) when
-  /// the candidate's length differs from the query's. Bitwise identical
-  /// to the batched path (same operations in the same order).
+  /// Scalar reference bound for one candidate of any length; 0 when
+  /// either side is empty. Bitwise identical to the batched path (same
+  /// operations in the same order).
   double LowerBound(std::span<const double> candidate) const;
 
-  /// Batched bounds over `count` candidates described by parallel
-  /// feature arrays (first/last/min/max element of each candidate, all
-  /// of length()). No cutoff: each output is O(1) and exact, so values
-  /// — not just decisions — are identical across dispatch levels and
-  /// any regrouping into blocks.
+  /// Batched bounds over `count` candidates of `candidate_length`
+  /// elements each, described by parallel feature arrays (first/last/
+  /// min/max element of each candidate). No cutoff: each output is O(1)
+  /// and exact, so values — not just decisions — are identical across
+  /// dispatch levels and any regrouping into blocks.
   void LowerBoundMany(const double* first, const double* last,
                       const double* cmin, const double* cmax, size_t count,
-                      double* out) const;
+                      int32_t candidate_length, double* out) const;
 
   int32_t length() const { return length_; }
   double query_first() const { return q_first_; }

@@ -4,11 +4,11 @@
 // immutable BASE index over the windows that existed at the base epoch,
 // plus a small per-matcher LinearScan DELTA over windows appended since
 // (frame/matcher.h). Deriving a new epoch (Append/Retire) shares the
-// base by shared_ptr — only the cheap delta and the tombstone mask are
-// rebuilt — so the base index, the oracle it references, and the
-// database storage backing both must live in one shared, heap-stable
-// object that outlives every matcher of any descendant epoch. That
-// object is EpochBase.
+// base by shared_ptr — only the cheap delta, its scan-cascade feature
+// table and the tombstone mask are rebuilt — so the base index, the
+// oracle it references, and the database storage backing both must
+// live in one shared, heap-stable object that outlives every matcher of
+// any descendant epoch. That object is EpochBase.
 
 #ifndef SUBSEQ_FRAME_EPOCH_BASE_H_
 #define SUBSEQ_FRAME_EPOCH_BASE_H_
@@ -25,6 +25,7 @@
 namespace subseq {
 
 class SnapshotFile;
+struct LbFeatureTable;
 
 /// A prefix view of a DistanceOracle: the first `size` objects with
 /// unchanged ids. Used when a mid-ingest snapshot is loaded: the stored
@@ -91,6 +92,12 @@ struct EpochBase {
   std::shared_ptr<const SnapshotFile> snapshot;
   /// Windows the base index covers: ids [0, num_windows).
   int32_t num_windows = 0;
+  /// The scan cascade's feature table of the base windows
+  /// (frame/lb_prefilter.h), shared by every epoch derived from this
+  /// base. Non-null only when the base index is itself a linear scan and
+  /// the prefilter reads features for the distance: a tree never reads
+  /// it, and each epoch's delta scan reads its own table.
+  std::shared_ptr<const LbFeatureTable> lb_features;
 };
 
 }  // namespace subseq

@@ -1,6 +1,7 @@
 #include "subseq/frame/lb_prefilter.h"
 
 #include <algorithm>
+#include <type_traits>
 #include <utility>
 
 #include "subseq/core/check.h"
@@ -12,6 +13,19 @@ namespace subseq {
 
 namespace {
 
+void ResizeFeatures(size_t n, bool planar, LbFeatureTable* out) {
+  if (!planar) {
+    out->first.resize(n);
+    out->last.resize(n);
+    out->min.resize(n);
+    out->max.resize(n);
+  } else {
+    out->sum_y.resize(n);
+  }
+  out->sum.resize(n);
+  out->abs_sum.resize(n);
+}
+
 // One window's features, accumulated element-sequentially in ascending
 // order — the exact order LbKimBound / LbErpSumBound use on the query
 // side, so feature arithmetic rounds identically on both sides.
@@ -19,103 +33,146 @@ void AccumulateWindowFeatures(std::span<const double> view, size_t i,
                               LbFeatureTable* out) {
   if (view.empty()) {
     out->first[i] = out->last[i] = out->min[i] = out->max[i] = 0.0;
-    out->sum[i] = 0.0;
-    return;
+  } else {
+    out->first[i] = view.front();
+    out->last[i] = view.back();
+    double mn = view[0];
+    double mx = view[0];
+    for (size_t j = 1; j < view.size(); ++j) {
+      mn = std::min(mn, view[j]);
+      mx = std::max(mx, view[j]);
+    }
+    out->min[i] = mn;
+    out->max[i] = mx;
   }
-  out->first[i] = view.front();
-  out->last[i] = view.back();
-  double mn = view[0];
-  double mx = view[0];
-  for (size_t j = 1; j < view.size(); ++j) {
-    mn = std::min(mn, view[j]);
-    mx = std::max(mx, view[j]);
-  }
-  out->min[i] = mn;
-  out->max[i] = mx;
-  double sum = 0.0;
-  for (const double v : view) sum += v;
-  out->sum[i] = sum;
+  const ErpSumFeatures sums = ComputeErpSumFeatures(view);
+  out->sum[i] = sums.x;
+  out->abs_sum[i] = sums.abs;
 }
 
-void ResizeFeatures(size_t n, LbFeatureTable* out) {
-  out->first.resize(n);
-  out->last.resize(n);
-  out->min.resize(n);
-  out->max.resize(n);
-  out->sum.resize(n);
+void AccumulateWindowFeatures(std::span<const Point2d> view, size_t i,
+                              LbFeatureTable* out) {
+  const ErpSumFeatures sums = ComputeErpSumFeatures(view);
+  out->sum[i] = sums.x;
+  out->sum_y[i] = sums.y;
+  out->abs_sum[i] = sums.abs;
 }
 
-}  // namespace
-
-std::shared_ptr<const LbFeatureTable> BuildLbFeatureTable(
-    const SequenceDatabase<double>& db, const WindowCatalog& catalog) {
+template <typename T>
+std::shared_ptr<const LbFeatureTable> BuildTable(
+    const SequenceDatabase<T>& db, const WindowCatalog& catalog,
+    ObjectId begin, ObjectId end) {
+  SUBSEQ_CHECK(0 <= begin && begin <= end && end <= catalog.num_windows());
   auto table = std::make_shared<LbFeatureTable>();
-  const int32_t n = catalog.num_windows();
-  ResizeFeatures(static_cast<size_t>(n), table.get());
-  for (int32_t w = 0; w < n; ++w) {
+  table->first_window = begin;
+  ResizeFeatures(static_cast<size_t>(end - begin),
+                 std::is_same_v<T, Point2d>, table.get());
+  for (ObjectId w = begin; w < end; ++w) {
     const WindowRef& ref = catalog.at(w);
     AccumulateWindowFeatures(db.at(ref.seq).Subsequence(ref.span),
-                             static_cast<size_t>(w), table.get());
+                             static_cast<size_t>(w - begin), table.get());
   }
   return table;
 }
 
-std::shared_ptr<const WindowLbPayloads> MakeWindowLbPayloads(
-    const SequenceDatabase<double>& db, const WindowCatalog& catalog,
+template <typename T>
+std::shared_ptr<const WindowLbPayloads> MakePayloads(
+    const SequenceDatabase<T>& db, const WindowCatalog& catalog,
     std::span<const ObjectId> members) {
   auto payload = std::make_shared<WindowLbPayloads>();
   const size_t l = static_cast<size_t>(catalog.window_length());
   payload->count = static_cast<int32_t>(members.size());
   payload->window_length = catalog.window_length();
-  payload->elems.resize(members.size() * l);
-  ResizeFeatures(members.size(), &payload->features);
+  constexpr bool kScalar = std::is_same_v<T, double>;
+  if constexpr (kScalar) payload->elems.resize(members.size() * l);
+  ResizeFeatures(members.size(), !kScalar, &payload->features);
   for (size_t i = 0; i < members.size(); ++i) {
     const WindowRef& ref = catalog.at(members[i]);
-    const std::span<const double> view = db.at(ref.seq).Subsequence(ref.span);
+    const std::span<const T> view = db.at(ref.seq).Subsequence(ref.span);
     SUBSEQ_CHECK(view.size() == l);
-    std::copy(view.begin(), view.end(),
-              payload->elems.begin() + static_cast<ptrdiff_t>(i * l));
+    if constexpr (kScalar) {
+      std::copy(view.begin(), view.end(),
+                payload->elems.begin() + static_cast<ptrdiff_t>(i * l));
+    }
     AccumulateWindowFeatures(view, i, &payload->features);
   }
   return payload;
 }
 
+}  // namespace
+
+template <>
+bool LbFeaturesApply<double>(const SequenceDistance<double>& dist) {
+  if (const auto* dtw = dynamic_cast<const DtwDistance1D*>(&dist)) {
+    return dtw->band() < 0;
+  }
+  return dynamic_cast<const ErpDistance1D*>(&dist) != nullptr;
+}
+
+template <>
+bool LbFeaturesApply<Point2d>(const SequenceDistance<Point2d>& dist) {
+  return dynamic_cast<const ErpDistance2D*>(&dist) != nullptr;
+}
+
+std::shared_ptr<const LbFeatureTable> BuildLbFeatureTable(
+    const SequenceDatabase<double>& db, const WindowCatalog& catalog,
+    ObjectId begin, ObjectId end) {
+  return BuildTable(db, catalog, begin, end);
+}
+
+std::shared_ptr<const LbFeatureTable> BuildLbFeatureTable(
+    const SequenceDatabase<Point2d>& db, const WindowCatalog& catalog,
+    ObjectId begin, ObjectId end) {
+  return BuildTable(db, catalog, begin, end);
+}
+
+std::shared_ptr<const WindowLbPayloads> MakeWindowLbPayloads(
+    const SequenceDatabase<double>& db, const WindowCatalog& catalog,
+    std::span<const ObjectId> members) {
+  return MakePayloads(db, catalog, members);
+}
+
+std::shared_ptr<const WindowLbPayloads> MakeWindowLbPayloads(
+    const SequenceDatabase<Point2d>& db, const WindowCatalog& catalog,
+    std::span<const ObjectId> members) {
+  return MakePayloads(db, catalog, members);
+}
+
 std::shared_ptr<const LbCascade> LbCascade::MakeDtw(
     const SequenceDatabase<double>& db, const WindowCatalog& catalog,
     std::span<const double> segment,
-    std::shared_ptr<const LbFeatureTable> features) {
-  SUBSEQ_CHECK(static_cast<int32_t>(segment.size()) ==
-               catalog.window_length());
+    std::shared_ptr<const LbFeatureTable> features,
+    std::shared_ptr<const LbFeatureTable> delta_features) {
   auto side = std::make_shared<QuerySide>();
-  side->envelope = std::make_unique<LbKeoghEnvelope>(segment, /*band=*/-1);
-  if (features != nullptr) {
-    side->use_kim = true;
-    side->kim = std::make_unique<LbKimBound>(segment);
+  if (static_cast<int32_t>(segment.size()) == catalog.window_length()) {
+    side->envelope.emplace(segment, /*band=*/-1);
   }
+  if (features != nullptr || delta_features != nullptr) {
+    side->kim.emplace(segment);
+  }
+  SUBSEQ_CHECK(side->envelope.has_value() || side->kim.has_value());
   auto cascade = std::shared_ptr<LbCascade>(new LbCascade());
   cascade->query_ = std::move(side);
   cascade->db_ = &db;
   cascade->catalog_ = &catalog;
   cascade->features_ = std::move(features);
+  cascade->delta_features_ = std::move(delta_features);
   cascade->window_length_ = catalog.window_length();
   return cascade;
 }
 
 std::shared_ptr<const LbCascade> LbCascade::MakeErp(
-    const SequenceDatabase<double>& db, const WindowCatalog& catalog,
-    std::span<const double> segment,
-    std::shared_ptr<const LbFeatureTable> features) {
-  SUBSEQ_CHECK(static_cast<int32_t>(segment.size()) ==
-               catalog.window_length());
-  SUBSEQ_CHECK(features != nullptr);
+    const WindowCatalog& catalog, const LbErpSumBound& bound,
+    std::shared_ptr<const LbFeatureTable> features,
+    std::shared_ptr<const LbFeatureTable> delta_features) {
+  SUBSEQ_CHECK(features != nullptr || delta_features != nullptr);
   auto side = std::make_shared<QuerySide>();
-  side->use_erp = true;
-  side->erp = std::make_unique<LbErpSumBound>(segment);
+  side->erp.emplace(bound);
   auto cascade = std::shared_ptr<LbCascade>(new LbCascade());
   cascade->query_ = std::move(side);
-  cascade->db_ = &db;
   cascade->catalog_ = &catalog;
   cascade->features_ = std::move(features);
+  cascade->delta_features_ = std::move(delta_features);
   cascade->window_length_ = catalog.window_length();
   return cascade;
 }
@@ -129,8 +186,20 @@ const double* LbCascade::WindowBase(ObjectId id) const {
   return db_->at(ref.seq).Subsequence(ref.span).data();
 }
 
-const LbFeatureTable* LbCascade::Features() const {
-  return payload_ != nullptr ? &payload_->features : features_.get();
+const LbFeatureTable* LbCascade::FeaturesFor(ObjectId begin, int32_t count,
+                                             size_t* row) const {
+  if (payload_ != nullptr) {
+    *row = static_cast<size_t>(begin);
+    return &payload_->features;
+  }
+  for (const LbFeatureTable* table :
+       {delta_features_.get(), features_.get()}) {
+    if (table == nullptr || begin < table->first_window) continue;
+    *row = static_cast<size_t>(begin - table->first_window);
+    SUBSEQ_CHECK(*row + static_cast<size_t>(count) <= table->rows());
+    return table;
+  }
+  return nullptr;
 }
 
 void LbCascade::LowerBoundBlock(ObjectId begin, int32_t count,
@@ -142,9 +211,14 @@ void LbCascade::LowerBoundBlock(ObjectId begin, int32_t count,
 void LbCascade::LowerBoundBlockStaged(ObjectId begin, int32_t count,
                                       double cutoff, double* out,
                                       LbBlockCounts* counts) const {
-  if (query_->use_erp) {
-    query_->erp->LowerBoundMany(Features()->sum.data() + begin,
-                                static_cast<size_t>(count), out);
+  if (query_->erp.has_value()) {
+    size_t row = 0;
+    const LbFeatureTable* f = FeaturesFor(begin, count, &row);
+    SUBSEQ_CHECK(f != nullptr);
+    query_->erp->LowerBoundMany(
+        f->sum.data() + row, f->sum_y.empty() ? nullptr : f->sum_y.data() + row,
+        f->abs_sum.data() + row, static_cast<size_t>(count), window_length_,
+        out);
     for (int32_t i = 0; i < count; ++i) {
       if (out[i] > cutoff) ++counts->erp_pruned;
     }
@@ -155,13 +229,18 @@ void LbCascade::LowerBoundBlockStaged(ObjectId begin, int32_t count,
 
 void LbCascade::DtwBlockStaged(ObjectId begin, int32_t count, double cutoff,
                                double* out, LbBlockCounts* counts) const {
-  const LbKeoghEnvelope& env = *query_->envelope;
   const size_t stride = static_cast<size_t>(window_length_);
+  size_t row = 0;
+  const LbFeatureTable* f =
+      query_->kim.has_value() ? FeaturesFor(begin, count, &row) : nullptr;
 
-  if (!query_->use_kim) {
-    // Envelope-only cascade (no feature table): the block decomposes
-    // into memory-adjacent strided runs — one per sequence crossed in
-    // the global catalog, exactly one against a payload.
+  if (f == nullptr) {
+    // Envelope-only cascade (no feature table covers the block): the
+    // block decomposes into memory-adjacent strided runs — one per
+    // sequence crossed in the global catalog, exactly one against a
+    // payload.
+    SUBSEQ_CHECK(query_->envelope.has_value());
+    const LbKeoghEnvelope& env = *query_->envelope;
     if (payload_ != nullptr) {
       env.LowerBoundMany(
           payload_->elems.data() + static_cast<size_t>(begin) * stride,
@@ -186,17 +265,25 @@ void LbCascade::DtwBlockStaged(ObjectId begin, int32_t count, double cutoff,
   // Stage 1 — LB_Kim over the dense feature arrays: O(1) per candidate,
   // exact values (no abandon), so the survivor set is independent of
   // block grouping and dispatch level.
-  const LbFeatureTable* f = Features();
-  query_->kim->LowerBoundMany(f->first.data() + begin,
-                              f->last.data() + begin, f->min.data() + begin,
-                              f->max.data() + begin,
-                              static_cast<size_t>(count), out);
+  query_->kim->LowerBoundMany(f->first.data() + row, f->last.data() + row,
+                              f->min.data() + row, f->max.data() + row,
+                              static_cast<size_t>(count), window_length_,
+                              out);
+  if (!query_->envelope.has_value()) {
+    // A segment whose length is not the window length: LB_Kim is the
+    // whole cascade.
+    for (int32_t i = 0; i < count; ++i) {
+      if (out[i] > cutoff) ++counts->kim_pruned;
+    }
+    return;
+  }
 
   // Stage 2 — LB_Keogh over Kim survivors: gather survivor window
   // pointers four at a time through lb_keogh_block4 (its lanes are
   // independent, so scattered pointers bound identically to the strided
   // path), with LowerBoundAbandoning as the tail — the two produce
   // bitwise-identical values by the LowerBoundMany contract.
+  const LbKeoghEnvelope& env = *query_->envelope;
   const simd::Kernels& kernels = simd::GetKernels();
   const double* upper = env.upper().data();
   const double* lower = env.lower().data();
@@ -265,19 +352,41 @@ template <>
 std::shared_ptr<const QueryLowerBound> MakeSegmentLowerBound<double>(
     const SequenceDatabase<double>& db, const WindowCatalog& catalog,
     const SequenceDistance<double>& dist, std::span<const double> segment,
-    std::shared_ptr<const LbFeatureTable> features) {
-  if (static_cast<int32_t>(segment.size()) != catalog.window_length()) {
-    return nullptr;
-  }
+    std::shared_ptr<const LbFeatureTable> features,
+    std::shared_ptr<const LbFeatureTable> delta_features) {
+  const bool tables = features != nullptr || delta_features != nullptr;
   if (const auto* dtw = dynamic_cast<const DtwDistance1D*>(&dist)) {
     if (dtw->band() >= 0) return nullptr;
-    return LbCascade::MakeDtw(db, catalog, segment, std::move(features));
+    // LB_Keogh needs a window-length segment; LB_Kim, a feature table.
+    if (static_cast<int32_t>(segment.size()) != catalog.window_length() &&
+        !tables) {
+      return nullptr;
+    }
+    return LbCascade::MakeDtw(db, catalog, segment, std::move(features),
+                              std::move(delta_features));
   }
   // ErpDistance1D's gap element is the constant 0.0 (ScalarGround), the
   // premise of the sum bound's admissibility proof.
-  if (dynamic_cast<const ErpDistance1D*>(&dist) != nullptr &&
-      features != nullptr) {
-    return LbCascade::MakeErp(db, catalog, segment, std::move(features));
+  if (dynamic_cast<const ErpDistance1D*>(&dist) != nullptr && tables) {
+    return LbCascade::MakeErp(catalog, LbErpSumBound(segment),
+                              std::move(features), std::move(delta_features));
+  }
+  return nullptr;
+}
+
+template <>
+std::shared_ptr<const QueryLowerBound> MakeSegmentLowerBound<Point2d>(
+    const SequenceDatabase<Point2d>& db, const WindowCatalog& catalog,
+    const SequenceDistance<Point2d>& dist, std::span<const Point2d> segment,
+    std::shared_ptr<const LbFeatureTable> features,
+    std::shared_ptr<const LbFeatureTable> delta_features) {
+  (void)db;
+  // ErpDistance2D's gap element is the origin (Point2dGround), and its
+  // ground distance is the Euclidean norm: the sum bound's premises.
+  if (dynamic_cast<const ErpDistance2D*>(&dist) != nullptr &&
+      (features != nullptr || delta_features != nullptr)) {
+    return LbCascade::MakeErp(catalog, LbErpSumBound(segment),
+                              std::move(features), std::move(delta_features));
   }
   return nullptr;
 }

@@ -1,23 +1,42 @@
 // The step-4 lower-bound pruning cascade: ordered admissible per-window
 // bounds that let the linear scan skip most exact DTW/ERP evaluations.
+// Every query segment the scan reads gets one — all 2*lambda0 + 1
+// segment lengths l - lambda0 .. l + lambda0, against windows of length
+// l — wherever its distance has a bound.
 //
 // Stage order (by per-candidate cost, cheapest first — NOT by
 // tightness; see distance/lb_kim.h for the counterexample showing
 // LB_Kim can exceed LB_Keogh):
-//   DTW:  LB_Kim (O(1) over precomputed window features, when a feature
-//         table is supplied) -> LB_Keogh envelope over Kim survivors;
-//   ERP:  |sum(Q) - sum(C)| over precomputed window sums (the only
-//         stage — LB_Kim and LB_Keogh bound DTW, not ERP).
+//   unconstrained 1-D DTW: LB_Kim (O(1) over precomputed window
+//         features, when a feature table is supplied; any segment
+//         length) -> LB_Keogh envelope over Kim survivors (l-length
+//         segments only: the envelope needs equal lengths);
+//   1-D ERP: |sum(Q) - sum(C)| over precomputed window sums (the only
+//         stage — LB_Kim and LB_Keogh bound DTW, not ERP);
+//   2-D ERP: ||sum(Q) - sum(C)||_2 over precomputed per-window
+//         (sum x, sum y) features.
+// Other distances, banded DTW, and element types without a bound
+// (strings) get none.
 //
 // Soundness chain (no false dismissals anywhere): every stage is an
 // admissible lower bound of the exact distance — LB_Keogh(c) <=
 // DTW_band(q, c) for any band r and equal-length c (Keogh, VLDB 2002;
 // r = |q| - 1 covers the matcher's unconstrained DTW), LB_Kim's terms
-// each bound DTW (distance/lb_kim.h), and the ERP sum bound telescopes
-// the triangle inequality (distance/lb_erp.h). The scan prunes only
-// when a bound > LowerBoundPruneCutoff(epsilon) > epsilon, so
-// floating-point rounding at the boundary cannot drop a true match
-// either.
+// each bound DTW at any pair of lengths (distance/lb_kim.h), and the ERP
+// sum bound telescopes the triangle inequality of the ground norm
+// (distance/lb_erp.h). The scan prunes only when a bound >
+// LowerBoundPruneCutoff(epsilon) > epsilon; that relative pad absorbs
+// the rounding of the DTW bounds, which sum non-negative terms, and the
+// ERP bounds subtract their own summation-error slack first, because
+// sums of signed values err absolutely, not relatively.
+//
+// Feature tables follow the epochs (frame/epoch_base.h): a table covers
+// one contiguous window-id range [first_window, first_window + rows). A
+// base table exists only when the base index is itself a linear scan
+// and is shared by every epoch derived from that base; each derived
+// epoch builds a table of its own delta windows only. The delta is its
+// own LinearScan (ids offset by the base width), so a scan block never
+// spans the two and picks its table once.
 //
 // Billing: pruned windows stay counted in distance_computations
 // whichever stage cut them (the scan bills every candidate it is
@@ -32,6 +51,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -46,35 +66,72 @@
 namespace subseq {
 
 /// Per-window candidate features feeding the cascade's O(1) stages,
-/// id-indexed SoA over a whole catalog (or, inside a WindowLbPayloads,
-/// over one cell's members). Each array is accumulated element-
-/// sequentially per window, the same order LbKimBound / LbErpSumBound
-/// use on the query side, so feature arithmetic rounds identically.
+/// SoA over a contiguous window-id range of a catalog (or, inside a
+/// WindowLbPayloads, over one cell's members). Each array is
+/// accumulated element-sequentially per window, the same order
+/// LbKimBound / LbErpSumBound use on the query side, so feature
+/// arithmetic rounds identically.
 struct LbFeatureTable {
+  /// Window id of row 0: row i describes window first_window + i.
+  ObjectId first_window = 0;
+  /// LB_Kim features (scalar series only).
   std::vector<double> first;
   std::vector<double> last;
   std::vector<double> min;
   std::vector<double> max;
+  /// ERP sum-bound features (distance/lb_erp.h): the coordinate sums —
+  /// sum_y for planar trajectories only — and the absolute-coordinate
+  /// sums the rounding slack scales with.
   std::vector<double> sum;
+  std::vector<double> sum_y;
+  std::vector<double> abs_sum;
+
+  size_t rows() const { return sum.size(); }
 };
 
-/// Builds the feature table of every window in the catalog. One O(total
-/// elements) sequential pass; the result is query-independent and meant
-/// to be built once per (db, catalog) and shared across queries.
+/// Whether MakeSegmentLowerBound reads a feature table for `dist`:
+/// unconstrained 1-D DTW (LB_Kim) and 1-D / 2-D ERP (the sum bound).
+/// Callers build tables only when it does. The generic overload says no.
+template <typename T>
+bool LbFeaturesApply(const SequenceDistance<T>& dist) {
+  (void)dist;
+  return false;
+}
+template <>
+bool LbFeaturesApply<double>(const SequenceDistance<double>& dist);
+template <>
+bool LbFeaturesApply<Point2d>(const SequenceDistance<Point2d>& dist);
+
+/// Builds the feature table of windows [begin, end): one O(elements)
+/// sequential pass, query-independent, meant to be built once per
+/// (db, window range) and shared across queries. Scalar series get the
+/// LB_Kim and ERP features, planar trajectories the ERP ones.
 std::shared_ptr<const LbFeatureTable> BuildLbFeatureTable(
-    const SequenceDatabase<double>& db, const WindowCatalog& catalog);
+    const SequenceDatabase<double>& db, const WindowCatalog& catalog,
+    ObjectId begin, ObjectId end);
+std::shared_ptr<const LbFeatureTable> BuildLbFeatureTable(
+    const SequenceDatabase<Point2d>& db, const WindowCatalog& catalog,
+    ObjectId begin, ObjectId end);
+
+/// The feature table of every window in the catalog.
+template <typename T>
+std::shared_ptr<const LbFeatureTable> BuildLbFeatureTable(
+    const SequenceDatabase<T>& db, const WindowCatalog& catalog) {
+  return BuildLbFeatureTable(db, catalog, 0, catalog.num_windows());
+}
 
 /// Cell-contiguous materialization of a member subset's windows: local
-/// id i holds members[i]'s window elements at elems[i * window_length]
-/// and its features at index i of every feature array. A cascade bound
-/// to this payload sees ONE dense strided run per block — the
-/// memory-adjacent-run decomposition that scattered routed-cell ids
-/// would otherwise break into per-window fragments.
+/// id i holds members[i]'s features at index i of every feature array
+/// and, for scalar series, its window elements at
+/// elems[i * window_length]. A cascade bound to this payload sees ONE
+/// dense strided run per block — the memory-adjacent-run decomposition
+/// that scattered routed-cell ids would otherwise break into per-window
+/// fragments.
 class WindowLbPayloads final : public LowerBoundPayloads {
  public:
   int32_t count = 0;
   int32_t window_length = 0;
-  std::vector<double> elems;  // count * window_length, cell-contiguous
+  std::vector<double> elems;  // count * window_length; scalar series only
   LbFeatureTable features;    // per local id
 };
 
@@ -82,9 +139,16 @@ class WindowLbPayloads final : public LowerBoundPayloads {
 std::shared_ptr<const WindowLbPayloads> MakeWindowLbPayloads(
     const SequenceDatabase<double>& db, const WindowCatalog& catalog,
     std::span<const ObjectId> members);
+std::shared_ptr<const WindowLbPayloads> MakeWindowLbPayloads(
+    const SequenceDatabase<Point2d>& db, const WindowCatalog& catalog,
+    std::span<const ObjectId> members);
 
 /// QueryLowerBound over a window catalog: the staged cascade of one
 /// query segment against the catalog's fixed-length windows.
+///
+/// Tables: `features` and the optional `delta_features` cover disjoint
+/// window-id ranges (the base epoch's and the live delta's); a block
+/// reads the one holding its first id and must lie inside it.
 ///
 /// Candidate access: consecutive window ids of one sequence are
 /// memory-adjacent with stride window_length (windows align at offsets
@@ -97,22 +161,27 @@ std::shared_ptr<const WindowLbPayloads> MakeWindowLbPayloads(
 /// independent of block grouping AND of whether the Kim stage ran.
 class LbCascade final : public QueryLowerBound {
  public:
-  /// DTW cascade: Kim (when `features` != nullptr) -> Keogh. `segment`
-  /// must have exactly catalog.window_length() elements; the envelope
-  /// is built at full width, valid for unconstrained DTW. The database,
-  /// catalog and feature table must outlive this object.
+  /// DTW cascade for an unconstrained-DTW segment of any length: LB_Kim
+  /// when a table is supplied, then — for a segment of exactly
+  /// catalog.window_length() elements — the LB_Keogh envelope, built at
+  /// full width. Any other length needs a table (Kim is then the whole
+  /// cascade). A block no table covers runs the envelope alone. The
+  /// database and catalog must outlive this object.
   static std::shared_ptr<const LbCascade> MakeDtw(
       const SequenceDatabase<double>& db, const WindowCatalog& catalog,
       std::span<const double> segment,
-      std::shared_ptr<const LbFeatureTable> features);
+      std::shared_ptr<const LbFeatureTable> features,
+      std::shared_ptr<const LbFeatureTable> delta_features = nullptr);
 
-  /// ERP cascade: the sum bound only. Requires a feature table (the
-  /// bound reads precomputed window sums; recomputing them per query
-  /// would cost as much as the distance's own early abandon).
+  /// ERP cascade (1-D or 2-D, per `bound`): the sum bound only, at any
+  /// segment length. Requires a table (the bound reads precomputed
+  /// window sums; recomputing them per query would cost as much as the
+  /// distance's own early abandon), and every scanned block must lie in
+  /// one.
   static std::shared_ptr<const LbCascade> MakeErp(
-      const SequenceDatabase<double>& db, const WindowCatalog& catalog,
-      std::span<const double> segment,
-      std::shared_ptr<const LbFeatureTable> features);
+      const WindowCatalog& catalog, const LbErpSumBound& bound,
+      std::shared_ptr<const LbFeatureTable> features,
+      std::shared_ptr<const LbFeatureTable> delta_features = nullptr);
 
   void LowerBoundBlock(ObjectId begin, int32_t count, double cutoff,
                        double* out) const override;
@@ -138,21 +207,23 @@ class LbCascade final : public QueryLowerBound {
  private:
   /// Query-side precomputation, shared between a cascade and its
   /// payload-bound clones (BindTo), so clones stay cheap and bitwise
-  /// consistent with the parent.
+  /// consistent with the parent. A DTW cascade has a Kim stage, an
+  /// envelope, or both; an ERP cascade has `erp` alone.
   struct QuerySide {
-    bool use_kim = false;
-    bool use_erp = false;
-    std::unique_ptr<LbKeoghEnvelope> envelope;  // DTW stages only
-    std::unique_ptr<LbKimBound> kim;
-    std::unique_ptr<LbErpSumBound> erp;
+    std::optional<LbKeoghEnvelope> envelope;
+    std::optional<LbKimBound> kim;
+    std::optional<LbErpSumBound> erp;
   };
 
   LbCascade() = default;
 
   /// Base pointer of candidate window `id` (payload-local or global).
   const double* WindowBase(ObjectId id) const;
-  /// Feature table in effect (payload's when bound, global otherwise).
-  const LbFeatureTable* Features() const;
+  /// The features of the block [begin, begin + count) — the payload's
+  /// when bound, else the table holding `begin` — with *row set to
+  /// begin's row in it; nullptr when no table holds the block.
+  const LbFeatureTable* FeaturesFor(ObjectId begin, int32_t count,
+                                    size_t* row) const;
 
   void DtwBlockStaged(ObjectId begin, int32_t count, double cutoff,
                       double* out, LbBlockCounts* counts) const;
@@ -162,6 +233,7 @@ class LbCascade final : public QueryLowerBound {
   const SequenceDatabase<double>* db_ = nullptr;
   const WindowCatalog* catalog_ = nullptr;
   std::shared_ptr<const LbFeatureTable> features_;
+  std::shared_ptr<const LbFeatureTable> delta_features_;
   // ...or one cell's materialized windows (payload-bound clones).
   std::shared_ptr<const WindowLbPayloads> payload_;
   int32_t window_length_ = 0;
@@ -170,32 +242,45 @@ class LbCascade final : public QueryLowerBound {
 /// Builds an admissible per-window lower bound for `segment` under
 /// `dist`, or nullptr when no sound bound applies. The generic overload
 /// declines: prefilters exist per (element type, distance) pair and
-/// must each prove admissibility. `features` (optional) enables the
-/// O(1) stages; without it DTW falls back to the envelope-only cascade
-/// and ERP gets no bound at all.
+/// must each prove admissibility. `features` / `delta_features`
+/// (optional; see LbCascade for their ranges) enable the O(1) stages.
 template <typename T>
 std::shared_ptr<const QueryLowerBound> MakeSegmentLowerBound(
     const SequenceDatabase<T>& db, const WindowCatalog& catalog,
     const SequenceDistance<T>& dist, std::span<const T> segment,
-    std::shared_ptr<const LbFeatureTable> features = nullptr) {
+    std::shared_ptr<const LbFeatureTable> features = nullptr,
+    std::shared_ptr<const LbFeatureTable> delta_features = nullptr) {
   (void)db;
   (void)catalog;
   (void)dist;
   (void)segment;
   (void)features;
+  (void)delta_features;
   return nullptr;
 }
 
-/// Scalar series: the DTW cascade applies when the distance is
-/// unconstrained DTW and the segment has window length (LB_Keogh
-/// requires equal lengths, and only the l-length segment family matches
-/// the windows); the ERP cascade applies for 1-D ERP (gap element 0,
-/// making the sum bound admissible) when a feature table is supplied.
+/// Scalar series: unconstrained DTW gets the DTW cascade — LB_Kim
+/// whenever a table is supplied, plus LB_Keogh on a window-length
+/// segment; without a table only the window-length segment has a bound
+/// (the envelope). 1-D ERP (gap element 0, making the sum bound
+/// admissible) gets the sum bound at any segment length when a table is
+/// supplied.
 template <>
 std::shared_ptr<const QueryLowerBound> MakeSegmentLowerBound<double>(
     const SequenceDatabase<double>& db, const WindowCatalog& catalog,
     const SequenceDistance<double>& dist, std::span<const double> segment,
-    std::shared_ptr<const LbFeatureTable> features);
+    std::shared_ptr<const LbFeatureTable> features,
+    std::shared_ptr<const LbFeatureTable> delta_features);
+
+/// Planar trajectories: 2-D ERP (gap element the origin) gets the
+/// ||sum(Q) - sum(C)||_2 bound at any segment length when a table is
+/// supplied; every other 2-D distance gets none.
+template <>
+std::shared_ptr<const QueryLowerBound> MakeSegmentLowerBound<Point2d>(
+    const SequenceDatabase<Point2d>& db, const WindowCatalog& catalog,
+    const SequenceDistance<Point2d>& dist, std::span<const Point2d> segment,
+    std::shared_ptr<const LbFeatureTable> features,
+    std::shared_ptr<const LbFeatureTable> delta_features);
 
 }  // namespace subseq
 

@@ -96,6 +96,24 @@ void ComputeTombstoneMask(const SequenceDatabase<T>& db,
   }
 }
 
+// The scan cascade's feature table of windows [begin, end), or nullptr
+// when the range is empty, the prefilter is off, or the cascade reads no
+// features for this distance (and for strings, which have no cascade).
+template <typename T>
+std::shared_ptr<const LbFeatureTable> MaybeBuildLbFeatures(
+    const SequenceDatabase<T>& db, const WindowCatalog& catalog,
+    const SequenceDistance<T>& dist, const MatcherOptions& options,
+    ObjectId begin, ObjectId end) {
+  if constexpr (std::is_same_v<T, char>) {
+    return nullptr;
+  } else {
+    if (begin >= end || !options.lb_prefilter || !LbFeaturesApply(dist)) {
+      return nullptr;
+    }
+    return BuildLbFeatureTable(db, catalog, begin, end);
+  }
+}
+
 // One backend of options.index_kind over the given oracle — the whole
 // window catalog (monolithic) or one part's view of it (the
 // PartitionedIndex factory path: every part gets an independent index of
@@ -257,12 +275,6 @@ Result<std::unique_ptr<SubsequenceMatcher<T>>> SubsequenceMatcher<T>::MakeShell(
       std::make_shared<const WindowCatalog>(std::move(catalog).value());
   matcher->oracle_ = std::make_shared<const WindowOracle<T>>(
       *matcher->db_, *matcher->catalog_, dist);
-  if constexpr (std::is_same_v<T, double>) {
-    if (matcher->options_.lb_prefilter) {
-      matcher->lb_features_ =
-          BuildLbFeatureTable(*matcher->db_, *matcher->catalog_);
-    }
-  }
   // Tombstone mask: a window is dead iff its sequence is retired.
   // Retired windows stay in the catalog AND the index (ids are never
   // renumbered); BatchFilterWindows subtracts them from every hit list.
@@ -287,10 +299,24 @@ void SubsequenceMatcher<T>::AdoptBase(
   base->index = std::move(index);
   base->snapshot = std::move(snapshot);
   base->num_windows = base_windows;
+  // Only a linear-scan base reads a base feature table; a tree (or
+  // tree-celled) base never does, so it skips the O(windows) build.
+  if (options_.index_kind == IndexKind::kLinearScan) {
+    base->lb_features = MaybeBuildLbFeatures(*db_, *catalog_, dist_, options_,
+                                             0, base_windows);
+  }
   base_ = std::move(base);
-  const int32_t delta = catalog_->num_windows() - base_windows;
+  BuildDelta();
+}
+
+template <typename T>
+void SubsequenceMatcher<T>::BuildDelta() {
+  const int32_t delta = catalog_->num_windows() - base_->num_windows;
   if (delta > 0) {
     delta_index_ = std::make_unique<LinearScan>(delta);
+    delta_lb_features_ =
+        MaybeBuildLbFeatures(*db_, *catalog_, dist_, options_,
+                             base_->num_windows, catalog_->num_windows());
   }
 }
 
@@ -329,18 +355,10 @@ SubsequenceMatcher<T>::DeriveEpoch(SequenceDatabase<T> db) const {
   matcher->catalog_ = std::make_shared<const WindowCatalog>(std::move(catalog));
   matcher->oracle_ = std::make_shared<const WindowOracle<T>>(
       *matcher->db_, *matcher->catalog_, dist_);
-  if constexpr (std::is_same_v<T, double>) {
-    if (options_.lb_prefilter) {
-      matcher->lb_features_ =
-          BuildLbFeatureTable(*matcher->db_, *matcher->catalog_);
-    }
-  }
+  // The base (and its feature table) is shared; only the delta's
+  // windows get a new table, so deriving an epoch stays O(delta).
   matcher->base_ = base_;
-  const int32_t delta =
-      matcher->catalog_->num_windows() - base_->num_windows;
-  if (delta > 0) {
-    matcher->delta_index_ = std::make_unique<LinearScan>(delta);
-  }
+  matcher->BuildDelta();
   ComputeTombstoneMask(*matcher->db_, *matcher->catalog_,
                        &matcher->window_tombstones_,
                        &matcher->num_tombstoned_windows_);
@@ -407,8 +425,8 @@ SegmentQueryBatch SubsequenceMatcher<T>::MakeSegmentQueries(
     payload.fn = oracle_->SegmentQuery(view);
     payload.many = oracle_->SegmentQueryMany(view);
     if (options_.lb_prefilter) {
-      payload.lower_bound =
-          MakeSegmentLowerBound(*db_, *catalog_, dist_, view, lb_features_);
+      payload.lower_bound = MakeSegmentLowerBound(
+          *db_, *catalog_, dist_, view, base_->lb_features, delta_lb_features_);
     }
     batch.queries.push_back(QueryDistanceFn(std::move(payload)));
   }
@@ -842,8 +860,12 @@ SubsequenceMatcher<T>::NearestMatchFromHits(std::span<const T> query,
   SUBSEQ_RETURN_NOT_OK(
       ValidateNearestSchedule(epsilon_max, epsilon_increment));
   // A similar pair at distance d produces a segment hit at epsilon = d
-  // (Lemma 2), so no hits at epsilon_max means no pair at all.
-  if (hits.empty()) return std::optional<SubsequenceMatch>();
+  // (Lemma 2), so no hits at epsilon_max means no pair at all. A query
+  // shorter than lambda has no SQ with |SQ| >= lambda, so no round could
+  // ever verify a pair: the schedule would rebuild chains for nothing.
+  if (hits.empty() || static_cast<int32_t>(query.size()) < options_.lambda) {
+    return std::optional<SubsequenceMatch>();
+  }
 
   // A range query returns exactly the windows within epsilon, and every
   // hit carries its exact distance, so the hit set at any epsilon <=

@@ -72,22 +72,28 @@ struct MatcherOptions {
   CoverTreeOptions cover_tree;
   MvIndexOptions mv_index;
   VpTreeOptions vp_tree;
-  /// Step-4 lower-bound pruning cascade (frame/lb_prefilter.h): when
-  /// admissible per-window lower bounds exist for a segment's distance
-  /// — unconstrained 1-D DTW runs LB_Kim over precomputed window
-  /// features, then the LB_Keogh envelope over the survivors; 1-D ERP
-  /// runs the |sum(Q) - sum(C)| bound over precomputed window sums; all
-  /// batched through the SIMD kernels — the linear scan skips exact
-  /// evaluations a stage already rules out. Matches, per-query stats,
-  /// and billed filter_computations are identical on or off — pruned
-  /// candidates stay billed whichever stage cut them, and the padded
-  /// cutoff (metric/oracle.h:LowerBoundPruneCutoff) forbids false
-  /// dismissals — so the knob trades wall-clock time only;
-  /// MatchQueryStats is unaffected, and the work actually saved is
-  /// visible in QueryStats::lower_bound_pruned (attributed per stage by
-  /// lb_kim_pruned / lb_erp_pruned) / the StatsSink. Under routing the
-  /// cascade is rebound to each probed cell's materialized member
-  /// windows, so it keeps pruning inside cells.
+  /// Step-4 lower-bound pruning cascade (frame/lb_prefilter.h): every
+  /// query segment the linear scan reads — each of the 2 * lambda0 + 1
+  /// segment lengths — gets an admissible per-window lower bound where
+  /// its distance has one, and the scan skips exact evaluations a stage
+  /// already rules out. Unconstrained 1-D DTW runs LB_Kim over
+  /// precomputed window features at any segment length, then the
+  /// LB_Keogh envelope over the survivors of the window-length segment;
+  /// 1-D ERP runs |sum(Q) - sum(C)| and 2-D ERP ||sum(Q) - sum(C)||_2
+  /// over precomputed window sums. Matches, per-query stats, and billed
+  /// filter_computations are identical on or off — pruned candidates
+  /// stay billed whichever stage cut them, and the padded cutoff
+  /// (metric/oracle.h:LowerBoundPruneCutoff, plus the ERP bounds' own
+  /// rounding slack) forbids false dismissals — so the knob trades
+  /// wall-clock time only; MatchQueryStats is unaffected, and the work
+  /// actually saved is visible in QueryStats::lower_bound_pruned
+  /// (attributed per stage by lb_kim_pruned / lb_erp_pruned) / the
+  /// StatsSink. The window feature tables follow the epochs: a
+  /// linear-scan base builds one at Build / LoadIndex / Compact, shared
+  /// by every epoch derived from it (a tree base builds none), and each
+  /// epoch with a live delta builds one of its delta windows only. Under
+  /// routing the cascade is rebound to each probed cell's materialized
+  /// member windows, so it keeps pruning inside cells.
   bool lb_prefilter = true;
   /// Safety cap on step-5 distance verifications per query; exceeded =>
   /// Status::OutOfRange (Type I can be combinatorial by design). Must be
@@ -503,6 +509,17 @@ class SubsequenceMatcher {
   }
   /// Catalog windows masked because their sequence is retired.
   int64_t num_tombstoned_windows() const { return num_tombstoned_windows_; }
+  /// The scan cascade's window feature tables (frame/lb_prefilter.h):
+  /// the base's, shared by every epoch derived from it and non-null only
+  /// for a linear-scan base, and this epoch's own table of its delta
+  /// windows, non-null only for a non-empty delta. Both are nullptr when
+  /// the prefilter is off or reads no features for the distance.
+  const LbFeatureTable* base_lb_features() const {
+    return base_->lb_features.get();
+  }
+  const LbFeatureTable* delta_lb_features() const {
+    return delta_lb_features_.get();
+  }
 
  private:
   SubsequenceMatcher(std::shared_ptr<const SequenceDatabase<T>> db,
@@ -520,12 +537,18 @@ class SubsequenceMatcher {
 
   /// Wraps a freshly built/loaded index (covering the first
   /// `base_windows` catalog windows) into this matcher's shared
-  /// EpochBase and builds the LinearScan delta over the rest. MakeShell
+  /// EpochBase — with the base feature table when the base is a linear
+  /// scan — and builds the LinearScan delta over the rest. MakeShell
   /// must have run; `snapshot` is non-null for loaded indexes.
   void AdoptBase(std::unique_ptr<RangeIndex> index,
                  std::unique_ptr<PrefixOracle> prefix,
                  std::shared_ptr<const SnapshotFile> snapshot,
                  int32_t base_windows);
+
+  /// The LinearScan delta over windows [base, num_windows) and its
+  /// feature table, when the delta is non-empty. base_ and catalog_
+  /// must be set.
+  void BuildDelta();
 
   /// The shared tail of WithAppended / WithRetired: a matcher over
   /// `db` (one epoch past this matcher's) sharing this matcher's base.
@@ -560,11 +583,12 @@ class SubsequenceMatcher {
   /// fresh ones while base_ keeps the base epoch's.
   std::shared_ptr<const WindowCatalog> catalog_;
   std::shared_ptr<const WindowOracle<T>> oracle_;
-  /// Per-window cascade features (first/last/min/max/sum), built once at
-  /// MakeShell when the prefilter is on and the element type has a
-  /// cascade (scalar series); nullptr otherwise. Shared into every
-  /// segment's LbCascade. Covers ALL current windows (delta included).
-  std::shared_ptr<const LbFeatureTable> lb_features_;
+  /// The scan cascade's feature table of this epoch's delta windows
+  /// [base, num_windows) — the base's own table lives in base_ — built
+  /// when the delta is non-empty, the prefilter is on and the cascade
+  /// reads features for the distance; nullptr otherwise. Shared into
+  /// every segment's LbCascade.
+  std::shared_ptr<const LbFeatureTable> delta_lb_features_;
   /// The immutable base: index over windows [0, base_->num_windows),
   /// shared across every matcher derived from the same build/load.
   std::shared_ptr<const EpochBase<T>> base_;

@@ -28,11 +28,12 @@ template <typename T>
 std::shared_ptr<const LowerBoundPayloads>
 WindowOracle<T>::MaterializeLbPayloads(
     std::span<const ObjectId> members) const {
-  if constexpr (std::is_same_v<T, double>) {
-    return MakeWindowLbPayloads(db_, catalog_, members);
-  } else {
+  if constexpr (std::is_same_v<T, char>) {
     (void)members;
     return nullptr;
+  } else {
+    if (!LbFeaturesApply(dist_)) return nullptr;
+    return MakeWindowLbPayloads(db_, catalog_, members);
   }
 }
 

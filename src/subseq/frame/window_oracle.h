@@ -19,8 +19,9 @@ namespace subseq {
 /// referenced objects must outlive the oracle. Also a
 /// LowerBoundPayloadSource: the routed index asks it to materialize a
 /// cell's member windows cell-contiguously so the scan prefilter's
-/// cascade keeps pruning inside probed cells (scalar series only —
-/// other element types have no cascade and yield nullptr).
+/// cascade keeps pruning inside probed cells — the window features (and,
+/// for scalar series, the elements) of 1-D DTW and 1-D / 2-D ERP; other
+/// distances and strings have no cascade features and yield nullptr.
 template <typename T>
 class WindowOracle final : public DistanceOracle,
                            public LowerBoundPayloadSource {
@@ -63,8 +64,9 @@ class WindowOracle final : public DistanceOracle,
   /// segment view must stay valid while the function is in use.
   QueryDistanceManyFn SegmentQueryMany(std::span<const T> segment) const;
 
-  /// Cell-contiguous windows + cascade features of `members` (see
-  /// frame/lb_prefilter.h); nullptr for non-scalar element types.
+  /// Cell-contiguous cascade features (and scalar window elements) of
+  /// `members` (see frame/lb_prefilter.h); nullptr when the distance
+  /// reads no features (LbFeaturesApply).
   std::shared_ptr<const LowerBoundPayloads> MaterializeLbPayloads(
       std::span<const ObjectId> members) const override;
 

@@ -189,7 +189,10 @@ QueryDistanceFn MemberQuery(const QueryDistanceFn& query,
 /// The relative + absolute margin absorbs floating-point summation
 /// noise between an admissible real-arithmetic bound and the computed
 /// distance, so rounding at the boundary can never cause a false
-/// dismissal.
+/// dismissal. That covers bounds whose rounding error is relative (sums
+/// of non-negative terms); a bound summing signed values errs by an
+/// absolute amount and must subtract its own slack first
+/// (distance/lb_erp.h).
 inline double LowerBoundPruneCutoff(double epsilon) {
   return epsilon * (1.0 + 1e-9) + 1e-12;
 }

@@ -1,11 +1,13 @@
 // The staged lower-bound pruning cascade (frame/lb_prefilter.h): every
 // stage is admissible (no false dismissals, pinned by a 200-trial
-// battery), stage order is by cost — NOT tightness (LB_Kim can exceed
-// LB_Keogh; the counterexample is pinned here) — pruned candidates stay
-// billed with per-stage attribution, the matcher pipeline is invariant
-// under the knob across threads, shards and routed cells, and a
-// payload-bound cascade collapses a routed cell's scattered members
-// into one memory-adjacent run without changing any bound value.
+// battery; LB_Kim and the 1-D / 2-D ERP sum bounds at any pair of
+// lengths; the sum bounds also under the rounding of large, nearly
+// cancelling sums), stage order is by cost — NOT tightness (LB_Kim can
+// exceed LB_Keogh; the counterexample is pinned here) — pruned
+// candidates stay billed with per-stage attribution, the matcher
+// pipeline is invariant under the knob across threads, shards and routed
+// cells, and a payload-bound cascade collapses a routed cell's scattered
+// members into one memory-adjacent run without changing any bound value.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +21,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -41,6 +44,7 @@ namespace subseq {
 namespace {
 
 using ::subseq::testing::RandomSeries;
+using ::subseq::testing::RandomTrack;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
@@ -90,6 +94,108 @@ TEST(CascadeAdmissibilityTest, ErpSumIsALowerBoundOfErp) {
     const LbErpSumBound bound(q);
     EXPECT_LE(bound.LowerBound(c), Padded(erp.Compute(q, c)))
         << "trial=" << trial << " n=" << n << " m=" << m;
+  }
+}
+
+TEST(CascadeAdmissibilityTest, KimIsALowerBoundOfDtwAtAnyLengths) {
+  // The endpoint and extrema couplings exist for any n and m, and
+  // n != m implies n + m > 2, so the endpoint SUM stays admissible.
+  Rng rng(812);
+  const DtwDistance1D dtw;
+  for (int trial = 0; trial < 400; ++trial) {
+    const int32_t n = static_cast<int32_t>(rng.NextInt(1, 16));
+    const int32_t m = static_cast<int32_t>(rng.NextInt(1, 16));
+    const std::vector<double> q = RandomSeries(&rng, n, -10.0, 10.0);
+    const std::vector<double> c = RandomSeries(&rng, m, -10.0, 10.0);
+    const LbKimBound kim(q);
+    const double bound = kim.LowerBound(c);
+    EXPECT_LE(bound, Padded(dtw.Compute(q, c)))
+        << "trial=" << trial << " n=" << n << " m=" << m;
+    // The batched path over the candidate's features agrees bitwise.
+    const double first = c.front();
+    const double last = c.back();
+    const double cmin = *std::min_element(c.begin(), c.end());
+    const double cmax = *std::max_element(c.begin(), c.end());
+    double many = 0.0;
+    kim.LowerBoundMany(&first, &last, &cmin, &cmax, 1, m, &many);
+    EXPECT_BITEQ(many, bound);
+  }
+}
+
+TEST(CascadeAdmissibilityTest, Erp2dSumIsALowerBoundOfErp2d) {
+  // ||sum(Q) - sum(C)||_2 telescopes the Euclidean ground's triangle
+  // inequality with the gap at the origin; any lengths.
+  Rng rng(823);
+  const ErpDistance2D erp;
+  for (int trial = 0; trial < 200; ++trial) {
+    const int32_t n = static_cast<int32_t>(rng.NextInt(1, 24));
+    const int32_t m = static_cast<int32_t>(rng.NextInt(1, 24));
+    std::vector<Point2d> q = RandomTrack(&rng, n, 20.0);
+    std::vector<Point2d> c = RandomTrack(&rng, m, 20.0);
+    for (Point2d& p : q) p = Point2d{p.x - 10.0, p.y - 10.0};
+    const LbErpSumBound bound(q);
+    EXPECT_LE(bound.LowerBound(c), Padded(erp.Compute(q, c)))
+        << "trial=" << trial << " n=" << n << " m=" << m;
+  }
+  // Tight on a translate: Q = C + (3, 4) per element gives a sum
+  // difference of 5 per element while every match costs exactly 5.
+  const std::vector<Point2d> c = {{1.0, 2.0}, {-4.0, 0.5}, {2.0, 2.0}};
+  std::vector<Point2d> q = c;
+  for (Point2d& p : q) p = Point2d{p.x + 3.0, p.y + 4.0};
+  EXPECT_NEAR(LbErpSumBound(q).LowerBound(c), 15.0, 1e-12);
+  EXPECT_NEAR(erp.Compute(q, c), 15.0, 1e-12);
+}
+
+// A copy of `base` with one element moved up by `ulps` representable
+// values: the exact ERP is a few ulps of that element.
+template <typename T>
+std::vector<T> NudgedCopy(const std::vector<T>& base, Rng* rng) {
+  std::vector<T> out = base;
+  const size_t at = rng->NextBounded(out.size());
+  const int ulps = 1 + static_cast<int>(rng->NextBounded(4));
+  for (int k = 0; k < ulps; ++k) {
+    if constexpr (std::is_same_v<T, double>) {
+      out[at] = std::nextafter(out[at], kInf);
+    } else {
+      out[at].x = std::nextafter(out[at].x, kInf);
+    }
+  }
+  return out;
+}
+
+TEST(CascadeAdmissibilityTest, ErpSumBoundsSurviveRoundingOfLargeSums) {
+  // Sums of signed values err absolutely: at |values| ~ 1e6 the computed
+  // |sum(Q) - sum(C)| of two operands a few ulps apart is several ulps
+  // of the SUM. Without the bound's slack it exceeded the padded cutoff
+  // of the pair's own ERP in 4,785 of these 20,000 1-D pairs, i.e. a
+  // scan at any epsilon >= that ERP would drop a true match; at 1e2 it
+  // never did. 1-D and 2-D, both magnitudes.
+  Rng rng(834);
+  const ErpDistance1D erp;
+  const ErpDistance2D erp2d;
+  for (const double magnitude : {1e2, 1e6}) {
+    int64_t violations = 0;
+    std::string first;
+    for (int trial = 0; trial < 20000; ++trial) {
+      const std::vector<double> q =
+          RandomSeries(&rng, 10, magnitude / 2.0, magnitude);
+      const std::vector<double> c = NudgedCopy(q, &rng);
+      const double bound = LbErpSumBound(q).LowerBound(c);
+      const double cutoff = LowerBoundPruneCutoff(erp.Compute(q, c));
+      if (bound > cutoff && violations++ == 0) {
+        first = "1-D trial " + std::to_string(trial);
+      }
+      const std::vector<Point2d> tq =
+          RandomTrack(&rng, 10, magnitude);
+      const std::vector<Point2d> tc = NudgedCopy(tq, &rng);
+      const double bound2d = LbErpSumBound(tq).LowerBound(tc);
+      const double cutoff2d = LowerBoundPruneCutoff(erp2d.Compute(tq, tc));
+      if (bound2d > cutoff2d && violations++ == 0) {
+        first = "2-D trial " + std::to_string(trial);
+      }
+    }
+    EXPECT_EQ(violations, 0) << "magnitude " << magnitude << ", first at "
+                             << first;
   }
 }
 
@@ -696,6 +802,49 @@ TEST(CascadeMatcherTest, ErpKnobInvisibleAcrossThreadsAndRoutedCells) {
                                    threads, /*shards=*/1, cells),
                         reference);
       }
+    }
+  }
+}
+
+TEST(CascadeMatcherTest, ErpSumBoundKeepsTrueHitsOfLargeNearlyCancellingSums) {
+  // 1-D ERP over a linear scan (lambda 20, lambda0 2): one sequence of
+  // 40 values uniform in [5e5, 1e6], and as the query that sequence with
+  // one element raised by 3 ulps. The true hits lie a few ulps away, so
+  // epsilon 1e-9 keeps them, yet the sums' rounding put the unslackened
+  // sum bound past the padded cutoff of some of them: without the slack,
+  // 11 of these 100 trials returned 3 segment hits instead of 4 with the
+  // prefilter on, and RangeSearch 67 matches instead of 131 in 6.
+  const ErpDistance1D erp;
+  MatcherOptions options;
+  options.lambda = 20;
+  options.lambda0 = 2;
+  options.index_kind = IndexKind::kLinearScan;
+  options.exec.num_threads = 1;
+  MatcherOptions plain = options;
+  plain.lb_prefilter = false;
+  const double epsilon = 1e-9;
+  for (uint64_t trial = 0; trial < 100; ++trial) {
+    Rng rng(9000 + trial);
+    const std::vector<double> x = RandomSeries(&rng, 40, 5e5, 1e6);
+    std::vector<double> query = x;
+    double& raised = query[rng.NextBounded(query.size())];
+    for (int k = 0; k < 3; ++k) raised = std::nextafter(raised, kInf);
+    SequenceDatabase<double> db;
+    db.Add(Sequence<double>(x));
+    auto pruned = SubsequenceMatcher<double>::Build(db, erp, options);
+    auto unpruned = SubsequenceMatcher<double>::Build(db, erp, plain);
+    ASSERT_TRUE(pruned.ok() && unpruned.ok());
+    const std::vector<SegmentHit> want =
+        unpruned.value()->FilterSegments(query, epsilon);
+    const std::vector<SegmentHit> got =
+        pruned.value()->FilterSegments(query, epsilon);
+    ASSERT_FALSE(want.empty());
+    ASSERT_EQ(got.size(), want.size()) << "trial " << trial;
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].window, want[i].window) << "trial " << trial;
+      ASSERT_EQ(got[i].query_segment, want[i].query_segment)
+          << "trial " << trial;
+      ASSERT_BITEQ(got[i].distance, want[i].distance);
     }
   }
 }

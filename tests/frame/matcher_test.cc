@@ -876,6 +876,42 @@ TEST(MatcherTypeIIITest, GrowthRoundsShareOneVerificationBudget) {
   }
 }
 
+TEST(MatcherTypeIIITest, QueryShorterThanLambdaRunsNoGrowthRound) {
+  // No pair can satisfy |SQ| >= lambda when |Q| < lambda, so every
+  // growth round would rebuild the chains and verify nothing — and
+  // max_verifications never stops a round that verifies nothing. The
+  // schedule must not run at all. Counted in chains, not time.
+  SongGenerator gen(SongGenOptions{.mean_length = 80, .seed = 1719});
+  const auto db = gen.GenerateDatabaseWithWindows(240, 10);
+  const DtwDistance1D dist;
+  const std::vector<double> query =
+      MutatedCuts(db, 1, 12, 1720, MutateSample).front();
+  MatcherOptions options;
+  options.lambda = 20;
+  options.lambda0 = 2;
+  options.index_kind = IndexKind::kLinearScan;
+  auto matcher = std::move(SubsequenceMatcher<double>::Build(db, dist, options))
+                     .ValueOrDie();
+  const double epsilon_max = 100.0;
+  const std::vector<SegmentHit> hits =
+      matcher->FilterSegments(query, epsilon_max);
+  ASSERT_FALSE(hits.empty());  // the filter alone cannot rule the query out
+
+  MatchQueryStats from_hits;
+  auto got = matcher->NearestMatchFromHits(query, hits, epsilon_max, 1.0,
+                                           &from_hits);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_FALSE(got.value().has_value());
+  EXPECT_EQ(from_hits.chains, 0);
+  EXPECT_EQ(from_hits.verifications, 0);
+
+  MatchQueryStats stats;
+  auto direct = matcher->NearestMatch(query, epsilon_max, 1.0, &stats);
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  EXPECT_FALSE(direct.value().has_value());
+  EXPECT_EQ(stats.chains, 0);
+}
+
 // ---------------------------------------------------------------------------
 // Step 5 computes exactly the distances it bills.
 
