@@ -709,6 +709,68 @@ int Run() {
          {"erp2d_plain_ms", erp2d_lengths.plain_ms},
          {"erp2d_cascade_ms", erp2d_lengths.cascade_ms}}});
 
+    // ------------------------------------ the reference-net node gate
+    // The TRAJ segments of the row above (2-D ERP, every length
+    // l - lambda0 .. l + lambda0, the same epsilon) answered by a
+    // reference net over the window oracle twice: plain queries, then
+    // prunable ones with no feature table (a tree base builds none, so
+    // the sum bound reads each window's elements). Hits and billed node
+    // calls are CHECKed equal: the gate skips only exact calls whose
+    // result the walk would not use. refnet_gate_rate — gated over
+    // billed node calls — is a deterministic count ratio; the two
+    // timings are ungated.
+    {
+      const WindowOracle<Point2d> oracle(traj_db, traj_catalog, erp2d);
+      const ReferenceNet net = ReferenceNet::BuildAll(oracle);
+      constexpr double kTrajEpsilon = 8.0;
+      StatsSink plain_sink;
+      StatsSink gated_sink;
+      double plain_ms = 0.0;
+      double gated_ms = 0.0;
+      for (int32_t length = kWindowLength - kLambda0;
+           length <= kWindowLength + kLambda0; ++length) {
+        const std::vector<std::vector<Point2d>> segments =
+            MakeTrajQueries(traj_db, traj_catalog, num_queries, 11, length);
+        std::vector<QueryDistanceFn> plain;
+        std::vector<QueryDistanceFn> gated;
+        for (const auto& q : segments) {
+          const std::span<const Point2d> seg(q);
+          plain.push_back(oracle.SegmentQuery(seg));
+          PrunableQueryFn prunable;
+          prunable.fn = oracle.SegmentQuery(seg);
+          prunable.lower_bound =
+              MakeSegmentLowerBound(traj_db, traj_catalog, erp2d, seg);
+          SUBSEQ_CHECK(prunable.lower_bound != nullptr);
+          gated.push_back(QueryDistanceFn(std::move(prunable)));
+        }
+        auto t = std::chrono::steady_clock::now();
+        const auto want =
+            net.BatchRangeQuery(plain, kTrajEpsilon, song_exec, &plain_sink);
+        plain_ms += MillisSince(t);
+        t = std::chrono::steady_clock::now();
+        const auto got =
+            net.BatchRangeQuery(gated, kTrajEpsilon, song_exec, &gated_sink);
+        gated_ms += MillisSince(t);
+        SUBSEQ_CHECK(got == want);
+      }
+      SUBSEQ_CHECK(gated_sink.distance_computations() ==
+                   plain_sink.distance_computations());
+      SUBSEQ_CHECK(plain_sink.lower_bound_pruned() == 0);
+      SUBSEQ_CHECK(gated_sink.lb_erp_pruned() ==
+                   gated_sink.lower_bound_pruned());
+      const double refnet_gate_rate =
+          static_cast<double>(gated_sink.lower_bound_pruned()) /
+          static_cast<double>(gated_sink.distance_computations());
+      SUBSEQ_CHECK(refnet_gate_rate > 0.0);
+      std::printf("%-18s %13.3f %14.1f %14.1f\n", "refnet_lb_gate",
+                  refnet_gate_rate, plain_ms, gated_ms);
+      records.push_back(BenchRecord{
+          "refnet_lb_gate",
+          {{"refnet_gate_rate", refnet_gate_rate},
+           {"refnet_plain_ms", plain_ms},
+           {"refnet_gated_ms", gated_ms}}});
+    }
+
     // ------------------------------------------- anti-diagonal DP
     // One long single pair per distance — the plain-Compute path the
     // wavefront kernels accelerate (no batch of 4 to fill). Values are

@@ -161,11 +161,10 @@ std::shared_ptr<const LbCascade> LbCascade::MakeDtw(
   return cascade;
 }
 
-std::shared_ptr<const LbCascade> LbCascade::MakeErp(
+std::shared_ptr<LbCascade> LbCascade::NewErp(
     const WindowCatalog& catalog, const LbErpSumBound& bound,
     std::shared_ptr<const LbFeatureTable> features,
     std::shared_ptr<const LbFeatureTable> delta_features) {
-  SUBSEQ_CHECK(features != nullptr || delta_features != nullptr);
   auto side = std::make_shared<QuerySide>();
   side->erp.emplace(bound);
   auto cascade = std::shared_ptr<LbCascade>(new LbCascade());
@@ -177,6 +176,28 @@ std::shared_ptr<const LbCascade> LbCascade::MakeErp(
   return cascade;
 }
 
+std::shared_ptr<const LbCascade> LbCascade::MakeErp(
+    const SequenceDatabase<double>& db, const WindowCatalog& catalog,
+    std::span<const double> segment,
+    std::shared_ptr<const LbFeatureTable> features,
+    std::shared_ptr<const LbFeatureTable> delta_features) {
+  auto cascade = NewErp(catalog, LbErpSumBound(segment), std::move(features),
+                        std::move(delta_features));
+  cascade->db_ = &db;
+  return cascade;
+}
+
+std::shared_ptr<const LbCascade> LbCascade::MakeErp(
+    const SequenceDatabase<Point2d>& db, const WindowCatalog& catalog,
+    std::span<const Point2d> segment,
+    std::shared_ptr<const LbFeatureTable> features,
+    std::shared_ptr<const LbFeatureTable> delta_features) {
+  auto cascade = NewErp(catalog, LbErpSumBound(segment), std::move(features),
+                        std::move(delta_features));
+  cascade->planar_db_ = &db;
+  return cascade;
+}
+
 const double* LbCascade::WindowBase(ObjectId id) const {
   if (payload_ != nullptr) {
     return payload_->elems.data() +
@@ -184,6 +205,14 @@ const double* LbCascade::WindowBase(ObjectId id) const {
   }
   const WindowRef& ref = catalog_->at(id);
   return db_->at(ref.seq).Subsequence(ref.span).data();
+}
+
+ErpSumFeatures LbCascade::WindowSums(ObjectId id) const {
+  const WindowRef& ref = catalog_->at(id);
+  return planar_db_ != nullptr
+             ? ComputeErpSumFeatures(
+                   planar_db_->at(ref.seq).Subsequence(ref.span))
+             : ComputeErpSumFeatures(db_->at(ref.seq).Subsequence(ref.span));
 }
 
 const LbFeatureTable* LbCascade::FeaturesFor(ObjectId begin, int32_t count,
@@ -212,13 +241,21 @@ void LbCascade::LowerBoundBlockStaged(ObjectId begin, int32_t count,
                                       double cutoff, double* out,
                                       LbBlockCounts* counts) const {
   if (query_->erp.has_value()) {
+    const LbErpSumBound& erp = *query_->erp;
     size_t row = 0;
-    const LbFeatureTable* f = FeaturesFor(begin, count, &row);
-    SUBSEQ_CHECK(f != nullptr);
-    query_->erp->LowerBoundMany(
-        f->sum.data() + row, f->sum_y.empty() ? nullptr : f->sum_y.data() + row,
-        f->abs_sum.data() + row, static_cast<size_t>(count), window_length_,
-        out);
+    if (const LbFeatureTable* f = FeaturesFor(begin, count, &row)) {
+      erp.LowerBoundMany(f->sum.data() + row,
+                         f->sum_y.empty() ? nullptr : f->sum_y.data() + row,
+                         f->abs_sum.data() + row, static_cast<size_t>(count),
+                         window_length_, out);
+    } else {
+      // No table covers the block (a tree base builds none): each
+      // window's sums from its elements, bitwise equal to a table row.
+      for (int32_t i = 0; i < count; ++i) {
+        const ErpSumFeatures c = WindowSums(begin + i);
+        erp.LowerBoundMany(&c.x, &c.y, &c.abs, 1, window_length_, out + i);
+      }
+    }
     for (int32_t i = 0; i < count; ++i) {
       if (out[i] > cutoff) ++counts->erp_pruned;
     }
@@ -354,12 +391,11 @@ std::shared_ptr<const QueryLowerBound> MakeSegmentLowerBound<double>(
     const SequenceDistance<double>& dist, std::span<const double> segment,
     std::shared_ptr<const LbFeatureTable> features,
     std::shared_ptr<const LbFeatureTable> delta_features) {
-  const bool tables = features != nullptr || delta_features != nullptr;
   if (const auto* dtw = dynamic_cast<const DtwDistance1D*>(&dist)) {
     if (dtw->band() >= 0) return nullptr;
     // LB_Keogh needs a window-length segment; LB_Kim, a feature table.
     if (static_cast<int32_t>(segment.size()) != catalog.window_length() &&
-        !tables) {
+        features == nullptr && delta_features == nullptr) {
       return nullptr;
     }
     return LbCascade::MakeDtw(db, catalog, segment, std::move(features),
@@ -367,9 +403,9 @@ std::shared_ptr<const QueryLowerBound> MakeSegmentLowerBound<double>(
   }
   // ErpDistance1D's gap element is the constant 0.0 (ScalarGround), the
   // premise of the sum bound's admissibility proof.
-  if (dynamic_cast<const ErpDistance1D*>(&dist) != nullptr && tables) {
-    return LbCascade::MakeErp(catalog, LbErpSumBound(segment),
-                              std::move(features), std::move(delta_features));
+  if (dynamic_cast<const ErpDistance1D*>(&dist) != nullptr) {
+    return LbCascade::MakeErp(db, catalog, segment, std::move(features),
+                              std::move(delta_features));
   }
   return nullptr;
 }
@@ -380,13 +416,11 @@ std::shared_ptr<const QueryLowerBound> MakeSegmentLowerBound<Point2d>(
     const SequenceDistance<Point2d>& dist, std::span<const Point2d> segment,
     std::shared_ptr<const LbFeatureTable> features,
     std::shared_ptr<const LbFeatureTable> delta_features) {
-  (void)db;
   // ErpDistance2D's gap element is the origin (Point2dGround), and its
   // ground distance is the Euclidean norm: the sum bound's premises.
-  if (dynamic_cast<const ErpDistance2D*>(&dist) != nullptr &&
-      (features != nullptr || delta_features != nullptr)) {
-    return LbCascade::MakeErp(catalog, LbErpSumBound(segment),
-                              std::move(features), std::move(delta_features));
+  if (dynamic_cast<const ErpDistance2D*>(&dist) != nullptr) {
+    return LbCascade::MakeErp(db, catalog, segment, std::move(features),
+                              std::move(delta_features));
   }
   return nullptr;
 }

@@ -1,8 +1,10 @@
 // The step-4 lower-bound pruning cascade: ordered admissible per-window
-// bounds that let the linear scan skip most exact DTW/ERP evaluations.
-// Every query segment the scan reads gets one — all 2*lambda0 + 1
-// segment lengths l - lambda0 .. l + lambda0, against windows of length
-// l — wherever its distance has a bound.
+// bounds that let step 4 skip most exact DTW/ERP evaluations. Every query
+// segment — all 2*lambda0 + 1 segment lengths l - lambda0 .. l + lambda0,
+// against windows of length l — gets one wherever its distance has a
+// bound. Two readers use it: the linear scan skips candidates (blocks of
+// window ids), and the reference-net walk skips the exact call at nodes
+// the bound proves inert (one id at a time; metric/reference_net.h).
 //
 // Stage order (by per-candidate cost, cheapest first — NOT by
 // tightness; see distance/lb_kim.h for the counterexample showing
@@ -11,10 +13,9 @@
 //         features, when a feature table is supplied; any segment
 //         length) -> LB_Keogh envelope over Kim survivors (l-length
 //         segments only: the envelope needs equal lengths);
-//   1-D ERP: |sum(Q) - sum(C)| over precomputed window sums (the only
-//         stage — LB_Kim and LB_Keogh bound DTW, not ERP);
-//   2-D ERP: ||sum(Q) - sum(C)||_2 over precomputed per-window
-//         (sum x, sum y) features.
+//   1-D ERP: |sum(Q) - sum(C)| over the window sums (the only stage —
+//         LB_Kim and LB_Keogh bound DTW, not ERP);
+//   2-D ERP: ||sum(Q) - sum(C)||_2 over the per-window (sum x, sum y).
 // Other distances, banded DTW, and element types without a bound
 // (strings) get none.
 //
@@ -24,11 +25,12 @@
 // r = |q| - 1 covers the matcher's unconstrained DTW), LB_Kim's terms
 // each bound DTW at any pair of lengths (distance/lb_kim.h), and the ERP
 // sum bound telescopes the triangle inequality of the ground norm
-// (distance/lb_erp.h). The scan prunes only when a bound >
-// LowerBoundPruneCutoff(epsilon) > epsilon; that relative pad absorbs
-// the rounding of the DTW bounds, which sum non-negative terms, and the
-// ERP bounds subtract their own summation-error slack first, because
-// sums of signed values err absolutely, not relatively.
+// (distance/lb_erp.h). A reader prunes only when a bound >
+// LowerBoundPruneCutoff(t) > t for its threshold t (epsilon for the
+// scan); that relative pad absorbs the rounding of the DTW bounds, which
+// sum non-negative terms, and the ERP bounds subtract their own
+// summation-error slack first, because sums of signed values err
+// absolutely, not relatively.
 //
 // Feature tables follow the epochs (frame/epoch_base.h): a table covers
 // one contiguous window-id range [first_window, first_window + rows). A
@@ -36,15 +38,19 @@
 // and is shared by every epoch derived from that base; each derived
 // epoch builds a table of its own delta windows only. The delta is its
 // own LinearScan (ids offset by the base width), so a scan block never
-// spans the two and picks its table once.
+// spans the two and picks its table once. A tree base builds no table:
+// the ERP stage computes the sums of a window no table covers from its
+// elements, O(l) against the DP's O(l^2), and bitwise equal to the row a
+// table would hold. Routed cells read their materialized payloads.
 //
-// Billing: pruned windows stay counted in distance_computations
-// whichever stage cut them (the scan bills every candidate it is
-// responsible for), so the matcher's filter_computations and every
-// determinism invariant — sharded == unsharded, cache-on == cache-off,
-// cascade-on == cascade-off — hold bit-exactly;
-// QueryStats::lower_bound_pruned reports the work actually saved and
-// lb_kim_pruned / lb_erp_pruned attribute it per stage.
+// Billing: pruned windows and gated nodes stay counted in
+// distance_computations whichever stage cut them (the scan bills every
+// candidate it is responsible for, the walk every node it dequeues), so
+// the matcher's filter_computations and every determinism invariant —
+// sharded == unsharded, cache-on == cache-off, cascade-on == cascade-off
+// — hold bit-exactly; QueryStats::lower_bound_pruned reports the work
+// actually saved and lb_kim_pruned / lb_erp_pruned attribute it per
+// stage.
 
 #ifndef SUBSEQ_FRAME_LB_PREFILTER_H_
 #define SUBSEQ_FRAME_LB_PREFILTER_H_
@@ -173,14 +179,23 @@ class LbCascade final : public QueryLowerBound {
       std::shared_ptr<const LbFeatureTable> features,
       std::shared_ptr<const LbFeatureTable> delta_features = nullptr);
 
-  /// ERP cascade (1-D or 2-D, per `bound`): the sum bound only, at any
-  /// segment length. Requires a table (the bound reads precomputed
-  /// window sums; recomputing them per query would cost as much as the
-  /// distance's own early abandon), and every scanned block must lie in
-  /// one.
+  /// ERP cascade (1-D or 2-D, per the segment's element type): the sum
+  /// bound only, at any segment length. A block that starts inside a
+  /// table must lie in it and reads its precomputed sums. A block no
+  /// table covers computes each window's sums from its elements — O(l)
+  /// per window against the DP's O(l^2), bitwise equal to a table row
+  /// because the accumulation is the same; that is how a tree base,
+  /// which builds no table, gets its bound. The database and catalog
+  /// must outlive this object.
   static std::shared_ptr<const LbCascade> MakeErp(
-      const WindowCatalog& catalog, const LbErpSumBound& bound,
-      std::shared_ptr<const LbFeatureTable> features,
+      const SequenceDatabase<double>& db, const WindowCatalog& catalog,
+      std::span<const double> segment,
+      std::shared_ptr<const LbFeatureTable> features = nullptr,
+      std::shared_ptr<const LbFeatureTable> delta_features = nullptr);
+  static std::shared_ptr<const LbCascade> MakeErp(
+      const SequenceDatabase<Point2d>& db, const WindowCatalog& catalog,
+      std::span<const Point2d> segment,
+      std::shared_ptr<const LbFeatureTable> features = nullptr,
       std::shared_ptr<const LbFeatureTable> delta_features = nullptr);
 
   void LowerBoundBlock(ObjectId begin, int32_t count, double cutoff,
@@ -217,8 +232,17 @@ class LbCascade final : public QueryLowerBound {
 
   LbCascade() = default;
 
+  /// An ERP cascade over global ids; MakeErp sets its database.
+  static std::shared_ptr<LbCascade> NewErp(
+      const WindowCatalog& catalog, const LbErpSumBound& bound,
+      std::shared_ptr<const LbFeatureTable> features,
+      std::shared_ptr<const LbFeatureTable> delta_features);
+
   /// Base pointer of candidate window `id` (payload-local or global).
   const double* WindowBase(ObjectId id) const;
+  /// The ERP sum features of global window `id`, from its elements in
+  /// whichever database (scalar or planar) this cascade reads.
+  ErpSumFeatures WindowSums(ObjectId id) const;
   /// The features of the block [begin, begin + count) — the payload's
   /// when bound, else the table holding `begin` — with *row set to
   /// begin's row in it; nullptr when no table holds the block.
@@ -229,8 +253,10 @@ class LbCascade final : public QueryLowerBound {
                       double* out, LbBlockCounts* counts) const;
 
   std::shared_ptr<const QuerySide> query_;
-  // Global candidate source (unbound cascades)...
+  // Global candidate source (unbound cascades): scalar windows, or the
+  // planar ones of a 2-D ERP cascade...
   const SequenceDatabase<double>* db_ = nullptr;
+  const SequenceDatabase<Point2d>* planar_db_ = nullptr;
   const WindowCatalog* catalog_ = nullptr;
   std::shared_ptr<const LbFeatureTable> features_;
   std::shared_ptr<const LbFeatureTable> delta_features_;
@@ -263,8 +289,8 @@ std::shared_ptr<const QueryLowerBound> MakeSegmentLowerBound(
 /// whenever a table is supplied, plus LB_Keogh on a window-length
 /// segment; without a table only the window-length segment has a bound
 /// (the envelope). 1-D ERP (gap element 0, making the sum bound
-/// admissible) gets the sum bound at any segment length when a table is
-/// supplied.
+/// admissible) gets the sum bound at any segment length, with or
+/// without a table (LbCascade::MakeErp).
 template <>
 std::shared_ptr<const QueryLowerBound> MakeSegmentLowerBound<double>(
     const SequenceDatabase<double>& db, const WindowCatalog& catalog,
@@ -273,8 +299,8 @@ std::shared_ptr<const QueryLowerBound> MakeSegmentLowerBound<double>(
     std::shared_ptr<const LbFeatureTable> delta_features);
 
 /// Planar trajectories: 2-D ERP (gap element the origin) gets the
-/// ||sum(Q) - sum(C)||_2 bound at any segment length when a table is
-/// supplied; every other 2-D distance gets none.
+/// ||sum(Q) - sum(C)||_2 bound at any segment length, with or without a
+/// table; every other 2-D distance gets none.
 template <>
 std::shared_ptr<const QueryLowerBound> MakeSegmentLowerBound<Point2d>(
     const SequenceDatabase<Point2d>& db, const WindowCatalog& catalog,

@@ -402,28 +402,32 @@ SegmentQueryBatch SubsequenceMatcher<T>::MakeSegmentQueries(
                                         l - options_.lambda0,
                                         l + options_.lambda0);
   batch.queries.reserve(batch.segments.size());
-  // Only a linear scan reads the scan payload: a linear-scan base
-  // (monolithic, sharded or routed cells) or this epoch's delta. A tree
-  // index calls the function per id, so without a scan the plain
-  // function saves the payload's allocations and indirection.
+  // Two readers of the payload: a linear scan — a linear-scan base
+  // (monolithic, sharded or routed cells) or this epoch's delta — reads
+  // the batched evaluator and the bound; a reference-net base reads the
+  // bound alone, for its node gate. Other tree indexes call the function
+  // per id, so without a reader the plain function saves the payload's
+  // allocations and indirection.
   const bool scanned =
       options_.index_kind == IndexKind::kLinearScan || delta_index_ != nullptr;
+  const bool gated = options_.index_kind == IndexKind::kReferenceNet &&
+                     options_.lb_prefilter && LbFeaturesApply(dist_);
   for (const Interval& seg : batch.segments) {
     const std::span<const T> view = query.subspan(
         static_cast<size_t>(seg.begin), static_cast<size_t>(seg.length()));
-    if (!scanned) {
+    if (!scanned && !gated) {
       batch.queries.push_back(oracle_->SegmentQuery(view));
       continue;
     }
-    // Every scanned segment carries the payload: the batched evaluator
-    // (the scan hands it whole blocks instead of calling the function
-    // per window) and, when this distance has one, the segment's
-    // admissible lower bound (the scan skips what it rules out).
-    // Results and billed stats are identical either way (see
+    // The payload: the batched evaluator when a scan reads it (the scan
+    // hands it whole blocks instead of calling the function per window)
+    // and, when this distance has one, the segment's admissible lower
+    // bound (the scan skips the windows and the walk the nodes it rules
+    // out). Results and billed stats are identical either way (see
     // PrunableQueryFn and MatcherOptions::lb_prefilter).
     PrunableQueryFn payload;
     payload.fn = oracle_->SegmentQuery(view);
-    payload.many = oracle_->SegmentQueryMany(view);
+    if (scanned) payload.many = oracle_->SegmentQueryMany(view);
     if (options_.lb_prefilter) {
       payload.lower_bound = MakeSegmentLowerBound(
           *db_, *catalog_, dist_, view, base_->lb_features, delta_lb_features_);

@@ -73,27 +73,31 @@ struct MatcherOptions {
   MvIndexOptions mv_index;
   VpTreeOptions vp_tree;
   /// Step-4 lower-bound pruning cascade (frame/lb_prefilter.h): every
-  /// query segment the linear scan reads — each of the 2 * lambda0 + 1
-  /// segment lengths — gets an admissible per-window lower bound where
-  /// its distance has one, and the scan skips exact evaluations a stage
-  /// already rules out. Unconstrained 1-D DTW runs LB_Kim over
-  /// precomputed window features at any segment length, then the
-  /// LB_Keogh envelope over the survivors of the window-length segment;
-  /// 1-D ERP runs |sum(Q) - sum(C)| and 2-D ERP ||sum(Q) - sum(C)||_2
-  /// over precomputed window sums. Matches, per-query stats, and billed
-  /// filter_computations are identical on or off — pruned candidates
-  /// stay billed whichever stage cut them, and the padded cutoff
-  /// (metric/oracle.h:LowerBoundPruneCutoff, plus the ERP bounds' own
-  /// rounding slack) forbids false dismissals — so the knob trades
-  /// wall-clock time only; MatchQueryStats is unaffected, and the work
-  /// actually saved is visible in QueryStats::lower_bound_pruned
-  /// (attributed per stage by lb_kim_pruned / lb_erp_pruned) / the
-  /// StatsSink. The window feature tables follow the epochs: a
-  /// linear-scan base builds one at Build / LoadIndex / Compact, shared
-  /// by every epoch derived from it (a tree base builds none), and each
-  /// epoch with a live delta builds one of its delta windows only. Under
-  /// routing the cascade is rebound to each probed cell's materialized
-  /// member windows, so it keeps pruning inside cells.
+  /// query segment — each of the 2 * lambda0 + 1 segment lengths — gets
+  /// an admissible per-window lower bound where its distance has one.
+  /// The linear scan skips exact evaluations a stage already rules out,
+  /// and the reference-net walk skips the exact call at every node whose
+  /// bound proves it adds nothing (metric/reference_net.h). Unconstrained
+  /// 1-D DTW runs LB_Kim over precomputed window features at any segment
+  /// length, then the LB_Keogh envelope over the survivors of the
+  /// window-length segment; 1-D ERP runs |sum(Q) - sum(C)| and 2-D ERP
+  /// ||sum(Q) - sum(C)||_2 over the window sums. Matches, per-query
+  /// stats, and billed filter_computations are identical on or off —
+  /// pruned candidates and gated nodes stay billed whichever stage cut
+  /// them, and the padded cutoff (metric/oracle.h:LowerBoundPruneCutoff,
+  /// plus the ERP bounds' own rounding slack) forbids false dismissals —
+  /// so the knob trades wall-clock time only; MatchQueryStats is
+  /// unaffected, and the work actually saved is visible in
+  /// QueryStats::lower_bound_pruned (attributed per stage by
+  /// lb_kim_pruned / lb_erp_pruned) / the StatsSink. The window feature
+  /// tables follow the epochs: a linear-scan base builds one at Build /
+  /// LoadIndex / Compact, shared by every epoch derived from it, and
+  /// each epoch with a live delta builds one of its delta windows only.
+  /// A tree base builds none: the ERP bound computes the sums of a
+  /// window no table covers from its elements. Under routing the cascade
+  /// is rebound to each probed cell's materialized member windows, so it
+  /// keeps pruning (and gating) inside cells. The cover tree and the MV
+  /// index do not read the bound.
   bool lb_prefilter = true;
   /// Safety cap on step-5 distance verifications per query; exceeded =>
   /// Status::OutOfRange (Type I can be combinatorial by design). Must be

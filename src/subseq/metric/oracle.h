@@ -128,15 +128,16 @@ class QueryLowerBound {
 using QueryDistanceManyFn =
     std::function<void(std::span<const ObjectId> ids, double* out)>;
 
-/// The step-4 scan payload: the exact distance function plus two
-/// optional accelerators a linear scan understands. It is stored INSIDE
-/// the std::function, so every pass-through call site — the serving
-/// coalescer, batching — forwards it untouched; LinearScan recovers it
-/// via GetPrunable, and the id remaps (OffsetQuery, routed cells)
-/// rebuild it over their local ids. Neither accelerator can change a
-/// hit or a billed count:
-///  * `lower_bound` lets the scan skip candidates whose admissible
-///    bound exceeds the padded cutoff (see QueryLowerBound);
+/// The step-4 query payload: the exact distance function plus two
+/// optional accelerators. It is stored INSIDE the std::function, so
+/// every pass-through call site — the serving coalescer, batching —
+/// forwards it untouched; LinearScan and ReferenceNet recover it via
+/// GetPrunable, and the id remaps (OffsetQuery, routed cells) rebuild it
+/// over their local ids. Neither accelerator can change a hit or a
+/// billed count:
+///  * `lower_bound` lets a linear scan skip candidates whose admissible
+///    bound exceeds the padded cutoff (see QueryLowerBound), and the
+///    reference-net walk skip the exact call at nodes it proves inert;
 ///  * `many` evaluates a block of candidates in one call. It must set
 ///    out[i] to exactly fn(ids[i]), bit for bit — the
 ///    SequenceDistance::ComputeMany contract it is built from (see
@@ -149,8 +150,9 @@ using QueryDistanceManyFn =
 struct PrunableQueryFn {
   std::function<double(ObjectId)> fn;
   std::shared_ptr<const QueryLowerBound> lower_bound;
-  /// Added to scanned ids before LowerBoundBlock: an inner shard scans
-  /// shard-local ids while the provider speaks global ids.
+  /// Added to scanned ids (or a walk's node objects) before
+  /// LowerBoundBlock: an inner shard reads shard-local ids while the
+  /// provider speaks global ids.
   ObjectId lb_offset = 0;
   /// Optional batched evaluator over the same ids as `fn`.
   QueryDistanceManyFn many;
@@ -184,17 +186,22 @@ QueryDistanceFn MemberQuery(const QueryDistanceFn& query,
                             const ObjectId* members,
                             std::shared_ptr<const QueryLowerBound> bound);
 
-/// The prune cutoff for a range scan at `epsilon`: a lower bound must
-/// exceed this — not merely epsilon — before its candidate is skipped.
-/// The relative + absolute margin absorbs floating-point summation
-/// noise between an admissible real-arithmetic bound and the computed
-/// distance, so rounding at the boundary can never cause a false
-/// dismissal. That covers bounds whose rounding error is relative (sums
-/// of non-negative terms); a bound summing signed values errs by an
-/// absolute amount and must subtract its own slack first
-/// (distance/lb_erp.h).
-inline double LowerBoundPruneCutoff(double epsilon) {
-  return epsilon * (1.0 + 1e-9) + 1e-12;
+/// The prune cutoff for a threshold `t`: a lower bound must exceed this
+/// — not merely t — before the work it stands in for is skipped. A range
+/// scan uses t = epsilon (the candidate is skipped); the reference-net
+/// walk uses t = epsilon + the radius its node's highest child list is
+/// tested against (the node's exact call is skipped;
+/// metric/reference_net.h). The relative + absolute margin
+/// absorbs floating-point summation noise between an admissible
+/// real-arithmetic bound and the computed distance, and it is far above
+/// the few-ulp error of the walk's computed d - radius, so rounding at
+/// the boundary can never cause a false dismissal: bound > cutoff(t)
+/// implies the computed comparison against t goes the same way. That
+/// covers bounds whose rounding error is relative (sums of non-negative
+/// terms); a bound summing signed values errs by an absolute amount and
+/// must subtract its own slack first (distance/lb_erp.h).
+inline double LowerBoundPruneCutoff(double t) {
+  return t * (1.0 + 1e-9) + 1e-12;
 }
 
 /// An oracle over an explicit vector of points with a callable distance —

@@ -33,16 +33,19 @@ struct QueryStats {
   /// Objects returned.
   int64_t result_count = 0;
   /// Candidates whose exact distance was skipped by a lower-bound
-  /// prefilter (see QueryLowerBound). Observability only — the saved
-  /// work; these candidates remain counted in distance_computations.
-  /// Equals the sum of the per-stage counters below for the shipped
-  /// cascade (single-stage providers report everything here).
+  /// prefilter (see QueryLowerBound): scanned windows a linear scan
+  /// pruned, and reference-net nodes the walk's gate settled
+  /// (metric/reference_net.h). Observability only — the saved work;
+  /// these candidates remain counted in distance_computations. Equals
+  /// the sum of the per-stage counters below for the shipped cascade
+  /// (single-stage providers report everything here).
   int64_t lower_bound_pruned = 0;
   /// Of lower_bound_pruned, candidates cut by the O(1) LB_Kim stage
   /// before the LB_Keogh envelope ran (DTW cascade only; 0 elsewhere).
   int64_t lb_kim_pruned = 0;
-  /// Of lower_bound_pruned, candidates cut by the |sum(Q) - sum(C)|
-  /// ERP sum bound (ERP cascade only; 0 elsewhere).
+  /// Of lower_bound_pruned, candidates cut by the ||sum(Q) - sum(C)||
+  /// ERP sum bound — scanned windows and gated reference-net nodes
+  /// alike (ERP cascade only; 0 elsewhere).
   int64_t lb_erp_pruned = 0;
   /// k-center cells this query was fanned into (a PartitionedIndex with
   /// a k-center layout only; 0 elsewhere). The routing distance of

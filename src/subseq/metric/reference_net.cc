@@ -17,6 +17,16 @@
 
 namespace subseq {
 
+namespace {
+
+// Per-node range-query marks, two bits of one byte so a single buffer
+// serves a whole BatchRangeQuery chunk: the node was queued for a visit,
+// and the node's objects were emitted or its subtree was closed.
+constexpr uint8_t kEnqueued = 1;
+constexpr uint8_t kEmitted = 2;
+
+}  // namespace
+
 ReferenceNet::ReferenceNet(const DistanceOracle& oracle,
                            ReferenceNetOptions options)
     : oracle_(oracle), options_(options) {
@@ -238,27 +248,57 @@ bool ReferenceNet::Contains(ObjectId id) const {
 std::vector<ObjectId> ReferenceNet::RangeQuery(const QueryDistanceFn& query,
                                                double epsilon,
                                                QueryStats* stats) const {
+  std::vector<uint8_t> marks;
+  return RangeQueryWithScratch(query, epsilon, stats, &marks);
+}
+
+std::vector<ObjectId> ReferenceNet::RangeQueryWithScratch(
+    const QueryDistanceFn& query, double epsilon, QueryStats* stats,
+    std::vector<uint8_t>* marks_scratch) const {
   std::vector<ObjectId> results;
   int64_t computations = 0;
+  int64_t gated = 0;
+  LbBlockCounts stages;
   if (root_ >= 0) {
-    std::vector<uint8_t> enqueued(nodes_.size(), 0);
-    std::vector<uint8_t> emitted(nodes_.size(), 0);
+    std::vector<uint8_t>& marks = *marks_scratch;
+    marks.assign(nodes_.size(), 0);
+    const PrunableQueryFn* prunable = GetPrunable(query);
+    const QueryLowerBound* bound =
+        prunable != nullptr ? prunable->lower_bound.get() : nullptr;
     std::deque<int32_t> queue;
     queue.push_back(root_);
-    enqueued[static_cast<size_t>(root_)] = 1;
+    marks[static_cast<size_t>(root_)] = kEnqueued;
 
     while (!queue.empty()) {
       const int32_t ni = queue.front();
       queue.pop_front();
-      if (emitted[static_cast<size_t>(ni)]) continue;
+      if (marks[static_cast<size_t>(ni)] & kEmitted) continue;
       const Node& n = nodes_[static_cast<size_t>(ni)];
       ++computations;
+      if (bound != nullptr) {
+        // The node gate: a node with d > epsilon whose every child list
+        // is skipped below does nothing, and the highest list (lists
+        // are sorted by level, descending) is the last one skipped. A
+        // bound above the padded cutoff of that threshold proves both,
+        // so the exact distance is never needed; the node stays billed.
+        const double threshold =
+            n.lists.empty() ? epsilon
+                            : epsilon + Radius(n.lists.front().first + 1);
+        const double cutoff = LowerBoundPruneCutoff(threshold);
+        double lb;
+        bound->LowerBoundBlockStaged(n.object + prunable->lb_offset, 1,
+                                     cutoff, &lb, &stages);
+        if (lb > cutoff) {
+          ++gated;
+          continue;
+        }
+      }
       const double d = query(n.object);
       const double subtree_bound = Radius(n.top_level + 1);
 
       if (d + subtree_bound <= epsilon) {
         // Lemma 4 (inclusion direction): the whole subtree qualifies.
-        CollectSubtree(ni, &results, &emitted);
+        CollectSubtree(ni, &results, &marks);
         continue;
       }
       if (d - subtree_bound > epsilon) {
@@ -269,7 +309,7 @@ std::vector<ObjectId> ReferenceNet::RangeQuery(const QueryDistanceFn& query,
         results.push_back(n.object);
         results.insert(results.end(), n.duplicates.begin(),
                        n.duplicates.end());
-        emitted[static_cast<size_t>(ni)] = 1;
+        marks[static_cast<size_t>(ni)] |= kEmitted;
       }
       for (const auto& [list_level, members] : n.lists) {
         // Per-edge triangle bounds (Algorithm 3 strengthened with the
@@ -282,17 +322,18 @@ std::vector<ObjectId> ReferenceNet::RangeQuery(const QueryDistanceFn& query,
         const double child_subtree_bound = Radius(list_level);
         for (const Edge& edge : members) {
           const int32_t child = edge.child;
-          if (emitted[static_cast<size_t>(child)]) continue;
+          uint8_t& mark = marks[static_cast<size_t>(child)];
+          if (mark & kEmitted) continue;
           const double lower = std::fabs(d - edge.distance);
           const double upper = d + edge.distance;
           if (lower - child_subtree_bound > epsilon) {
             // Nothing in the child's subtree can qualify; this is a true
             // geometric fact, so it is safe to close the child globally.
-            emitted[static_cast<size_t>(child)] = 1;
+            mark |= kEmitted;
             continue;
           }
           if (upper + child_subtree_bound <= epsilon) {
-            CollectSubtree(child, &results, &emitted);
+            CollectSubtree(child, &results, &marks);
             continue;
           }
           const Node& c = nodes_[static_cast<size_t>(child)];
@@ -303,17 +344,17 @@ std::vector<ObjectId> ReferenceNet::RangeQuery(const QueryDistanceFn& query,
               results.push_back(c.object);
               results.insert(results.end(), c.duplicates.begin(),
                              c.duplicates.end());
-              emitted[static_cast<size_t>(child)] = 1;
+              mark |= kEmitted;
               continue;
             }
             if (lower > epsilon) {
-              emitted[static_cast<size_t>(child)] = 1;
+              mark |= kEmitted;
               continue;
             }
           }
-          if (enqueued[static_cast<size_t>(child)]) continue;
+          if (mark & kEnqueued) continue;
           queue.push_back(child);
-          enqueued[static_cast<size_t>(child)] = 1;
+          mark |= kEnqueued;
         }
       }
     }
@@ -321,6 +362,9 @@ std::vector<ObjectId> ReferenceNet::RangeQuery(const QueryDistanceFn& query,
   if (stats != nullptr) {
     stats->distance_computations = computations;
     stats->result_count = static_cast<int64_t>(results.size());
+    stats->lower_bound_pruned = gated;
+    stats->lb_kim_pruned = stages.kim_pruned;
+    stats->lb_erp_pruned = stages.erp_pruned;
   }
   return results;
 }
@@ -378,13 +422,14 @@ std::vector<Neighbor> ReferenceNet::NearestNeighbors(
 
 void ReferenceNet::CollectSubtree(int32_t node_index,
                                   std::vector<ObjectId>* out,
-                                  std::vector<uint8_t>* emitted) const {
+                                  std::vector<uint8_t>* marks) const {
   std::deque<int32_t> queue = {node_index};
   while (!queue.empty()) {
     const int32_t ni = queue.front();
     queue.pop_front();
-    if ((*emitted)[static_cast<size_t>(ni)]) continue;
-    (*emitted)[static_cast<size_t>(ni)] = 1;
+    uint8_t& mark = (*marks)[static_cast<size_t>(ni)];
+    if (mark & kEmitted) continue;
+    mark |= kEmitted;
     const Node& n = nodes_[static_cast<size_t>(ni)];
     out->push_back(n.object);
     out->insert(out->end(), n.duplicates.begin(), n.duplicates.end());

@@ -78,6 +78,20 @@ class ReferenceNet final : public RangeIndex {
   std::string_view name() const override { return "reference-net"; }
   int32_t size() const override { return num_objects_; }
 
+  /// Range query (Algorithm 3 with Lemma 4 and per-edge triangle
+  /// bounds). Every dequeued node is billed one distance computation.
+  ///
+  /// Node gate: when `query` carries a PrunableQueryFn lower bound, each
+  /// dequeued node first evaluates it at `n.object + lb_offset`. A node
+  /// with exact distance d contributes nothing to the walk (no hit, no
+  /// mark, no enqueued child) iff d > epsilon and every child list is
+  /// skipped, i.e. d - Radius(L + 1) > epsilon for the node's highest
+  /// list level L. So the walk skips the exact call whenever the bound
+  /// exceeds LowerBoundPruneCutoff(t), with t = epsilon for a node with
+  /// no lists and t = epsilon + Radius(L + 1) otherwise. The walk, its
+  /// hits and its billed distance_computations are identical with or
+  /// without a bound; gated nodes are reported in lower_bound_pruned
+  /// (and the bound's stage counter, e.g. lb_erp_pruned).
   std::vector<ObjectId> RangeQuery(const QueryDistanceFn& query,
                                    double epsilon,
                                    QueryStats* stats) const override;
@@ -169,10 +183,19 @@ class ReferenceNet final : public RangeIndex {
   void AddToList(int32_t parent, int32_t list_level, int32_t child,
                  double distance);
 
+  /// Tuned batch hook: the RangeQuery body over a caller-owned buffer of
+  /// per-node marks (resized and zeroed here), so one BatchRangeQuery
+  /// chunk allocates them once. RangeQuery forwards here with a local
+  /// buffer; the walk and its output order are the same either way.
+  std::vector<ObjectId> RangeQueryWithScratch(
+      const QueryDistanceFn& query, double epsilon, QueryStats* stats,
+      std::vector<uint8_t>* marks) const override;
+
   /// Adds the objects (representative + duplicates) of every node in the
-  /// subtree rooted at `node_index` to `out`, marking `emitted`.
+  /// subtree rooted at `node_index` to `out`, setting each node's
+  /// emitted mark in `marks`.
   void CollectSubtree(int32_t node_index, std::vector<ObjectId>* out,
-                      std::vector<uint8_t>* emitted) const;
+                      std::vector<uint8_t>* marks) const;
 
   /// Removes node `ni` structurally; appends its objects to `objects` and
   /// newly orphaned children to `orphans`.

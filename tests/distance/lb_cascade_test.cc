@@ -393,6 +393,34 @@ TEST_F(CascadeStageTest, StagedCountsAttributeEveryPrune) {
 
 using CascadeScanTest = CascadeWindowTest;
 
+// For every window of `catalog`, the ERP bound built without a feature
+// table equals the table-backed one bit for bit — one id at a time (the
+// reference-net walk's access) and over the whole catalog in one block.
+template <typename T>
+void ExpectTablelessErpBoundEqualsTable(const SequenceDatabase<T>& db,
+                                        const WindowCatalog& catalog,
+                                        const SequenceDistance<T>& dist,
+                                        std::span<const T> segment) {
+  const auto tableless =
+      MakeSegmentLowerBound(db, catalog, dist, segment, nullptr);
+  const auto tabled = MakeSegmentLowerBound(db, catalog, dist, segment,
+                                            BuildLbFeatureTable(db, catalog));
+  ASSERT_NE(tableless, nullptr);
+  ASSERT_NE(tabled, nullptr);
+  const int32_t n = catalog.num_windows();
+  std::vector<double> want(static_cast<size_t>(n));
+  std::vector<double> block(static_cast<size_t>(n));
+  tabled->LowerBoundBlock(0, n, kInf, want.data());
+  tableless->LowerBoundBlock(0, n, kInf, block.data());
+  for (ObjectId w = 0; w < n; ++w) {
+    double one = 0.0;
+    tableless->LowerBoundBlock(w, 1, kInf, &one);
+    EXPECT_BITEQ(one, want[static_cast<size_t>(w)]) << "window " << w;
+    EXPECT_BITEQ(block[static_cast<size_t>(w)], want[static_cast<size_t>(w)])
+        << "window " << w;
+  }
+}
+
 TEST_F(CascadeScanTest, DtwCascadePrunesWithoutChangingResultsOrBilling) {
   Init(/*seed=*/95, /*num_seqs=*/6, /*seq_len=*/80, /*l=*/8);
   const LinearScan scan(num_windows());
@@ -434,10 +462,20 @@ TEST_F(CascadeScanTest, ErpSumBoundPrunesAndBooksItsOwnCounter) {
   const std::span<const double> segment = Window(11);
   const double epsilon = 2.0;
 
-  // The ERP cascade exists only with a feature table: its single stage
-  // reads precomputed window sums.
-  EXPECT_EQ(MakeSegmentLowerBound(db_, *catalog_, erp, segment, nullptr),
-            nullptr);
+  // The ERP cascade needs no feature table: a window no table covers
+  // gets its sums from its elements, bit for bit the table's row.
+  ExpectTablelessErpBoundEqualsTable(db_, *catalog_, erp, segment);
+  Rng rng(961);
+  SequenceDatabase<Point2d> tracks;
+  for (int32_t s = 0; s < 6; ++s) {
+    tracks.Add(Sequence<Point2d>(RandomTrack(&rng, 80, 20.0)));
+  }
+  const WindowCatalog track_catalog =
+      std::move(WindowCatalog::PartitionDatabase(tracks, 8)).ValueOrDie();
+  const ErpDistance2D erp2d;
+  const std::vector<Point2d> track_segment = RandomTrack(&rng, 9, 20.0);
+  ExpectTablelessErpBoundEqualsTable(tracks, track_catalog, erp2d,
+                                     std::span<const Point2d>(track_segment));
 
   QueryStats plain_stats;
   const std::vector<ObjectId> plain =

@@ -1,5 +1,6 @@
 // Differential sweep of the step-4 filter against brute force: the
-// independent ground truth for the scan's lower-bound cascade.
+// independent ground truth for the scan's lower-bound cascade and for the
+// tree indexes' walks.
 //
 // For unconstrained 1-D DTW, 1-D ERP and 2-D ERP, lambda in {8, 20},
 // lambda0 in {0, 1, 3} and every segment of seeded mutated cuts,
@@ -11,23 +12,37 @@
 // DTW, which no metric index accepts) after WithAppended, WithRetired
 // and Compact. Off-length segments (length != l) must see pruning
 // wherever a scan runs, so the sweep fails if no bound gets attached to
-// them. A second suite pins the feature tables to the epochs: a derived
-// epoch shares its base's table and builds one over its delta windows
-// only.
+// them.
+//
+// The tree suite runs the same check over the reference net, the cover
+// tree and the MV index, each monolithic, in 4 shards and in 4 routed
+// cells, plus a live delta over each. 1-D and 2-D ERP carry the sum
+// bound, so every reference-net layout must also gate base nodes — the
+// bound must reach the walk through a shard offset and through a routed
+// cell's rebinding. Levenshtein over PROTEINS-like strings and 2-D
+// discrete Frechet have no bound and serve as controls: without a delta
+// they must prune nothing.
+//
+// A last suite pins the feature tables to the epochs: a derived epoch
+// shares its base's table and builds one over its delta windows only.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "subseq/core/rng.h"
+#include "subseq/data/protein_gen.h"
 #include "subseq/data/song_gen.h"
 #include "subseq/data/trajectory_gen.h"
 #include "subseq/distance/dtw.h"
 #include "subseq/distance/erp.h"
+#include "subseq/distance/frechet.h"
+#include "subseq/distance/levenshtein.h"
 #include "subseq/frame/lb_prefilter.h"
 #include "subseq/frame/matcher.h"
 
@@ -48,6 +63,11 @@ double Mutate(Rng* rng, double x) { return x + rng->NextDouble(-1.5, 1.5); }
 Point2d Mutate(Rng* rng, Point2d p) {
   return Point2d{p.x + rng->NextDouble(-1.5, 1.5),
                  p.y + rng->NextDouble(-1.5, 1.5)};
+}
+
+char Mutate(Rng* rng, char) {
+  constexpr std::string_view kAminoAcids = "ACDEFGHIKLMNPQRSTVWY";
+  return kAminoAcids[rng->NextBounded(kAminoAcids.size())];
 }
 
 // A cut of `length` elements from sequence `seq`, every fifth element
@@ -141,13 +161,19 @@ struct SweepCase {
   std::vector<double> epsilons;
 };
 
+// The layouts of one sweep over base index `kind`: monolithic, 4
+// contiguous shards, 4 routed cells (metric distances only: routing needs
+// a metric), then a live delta — appends, a retire of a base sequence,
+// and the merge. A linear-scan sweep over a metric distance runs its live
+// layouts over a reference-net base, so only the delta is scanned there.
 template <typename T>
 std::vector<Pair<T>> Layouts(const SweepCase<T>& c, int32_t lambda,
-                             int32_t lambda0) {
+                             int32_t lambda0,
+                             IndexKind kind = IndexKind::kLinearScan) {
   MatcherOptions base;
   base.lambda = lambda;
   base.lambda0 = lambda0;
-  base.index_kind = IndexKind::kLinearScan;
+  base.index_kind = kind;
   base.exec.num_threads = 2;
   const auto both = [&](const std::string& name, MatcherOptions options,
                         bool scanned) {
@@ -158,21 +184,20 @@ std::vector<Pair<T>> Layouts(const SweepCase<T>& c, int32_t lambda,
                    OrDie(SubsequenceMatcher<T>::Build(c.db, *c.dist, off)),
                    scanned};
   };
+  const bool scan_base = kind == IndexKind::kLinearScan;
   std::vector<Pair<T>> out;
-  out.push_back(both("monolithic", base, true));
+  out.push_back(both("monolithic", base, scan_base));
   MatcherOptions shards = base;
   shards.exec.num_shards = 4;
-  out.push_back(both("shards=4", shards, true));
+  out.push_back(both("shards=4", shards, scan_base));
   if (c.metric) {
     MatcherOptions routed = base;
     routed.exec.routing_cells = 4;
-    out.push_back(both("routing_cells=4", routed, true));
+    out.push_back(both("routing_cells=4", routed, scan_base));
   }
 
-  // Live ingest: appends, then a retire of a base sequence, then the
-  // merge. Only the delta is scanned over a tree base.
   MatcherOptions live = base;
-  if (c.metric) live.index_kind = IndexKind::kReferenceNet;
+  if (scan_base && c.metric) live.index_kind = IndexKind::kReferenceNet;
   Pair<T> appended = both("appended", live, true);
   for (const Sequence<T>& seq : c.appended) {
     appended.on = OrDie(appended.on->WithAppended(seq));
@@ -181,11 +206,29 @@ std::vector<Pair<T>> Layouts(const SweepCase<T>& c, int32_t lambda,
   Pair<T> retired{"retired", OrDie(appended.on->WithRetired(1)),
                   OrDie(appended.off->WithRetired(1)), true};
   Pair<T> compacted{"compacted", OrDie(retired.on->Compact()),
-                    OrDie(retired.off->Compact()), !c.metric};
+                    OrDie(retired.off->Compact()),
+                    live.index_kind == IndexKind::kLinearScan};
   out.push_back(std::move(retired));
   out.push_back(std::move(compacted));
   out.push_back(std::move(appended));
   return out;
+}
+
+// FilterSegments with the prefilter on and off must both return the
+// brute-force hits of `query`, and bill the same filter work. Returns the
+// number of hits.
+template <typename T>
+int64_t ExpectBruteForceHits(const Pair<T>& layout, std::span<const T> query,
+                             double epsilon) {
+  const std::vector<SegmentHit> want =
+      BruteForceHits(*layout.on, query, epsilon);
+  MatchQueryStats on_stats;
+  MatchQueryStats off_stats;
+  ExpectHitsEqual(layout.on->FilterSegments(query, epsilon, &on_stats), want);
+  ExpectHitsEqual(layout.off->FilterSegments(query, epsilon, &off_stats),
+                  want);
+  EXPECT_EQ(on_stats.filter_computations, off_stats.filter_computations);
+  return static_cast<int64_t>(want.size());
 }
 
 template <typename T>
@@ -211,18 +254,8 @@ void Sweep(const SweepCase<T>& c, uint64_t seed) {
                          << " lambda0=" << lambda0 << " " << layout.name
                          << " epsilon=" << epsilon);
             const std::span<const T> q(query);
-            const std::vector<SegmentHit> want =
-                BruteForceHits(*layout.on, q, epsilon);
-            MatchQueryStats on_stats;
-            MatchQueryStats off_stats;
-            ExpectHitsEqual(layout.on->FilterSegments(q, epsilon, &on_stats),
-                            want);
-            ExpectHitsEqual(
-                layout.off->FilterSegments(q, epsilon, &off_stats), want);
-            EXPECT_EQ(on_stats.filter_computations,
-                      off_stats.filter_computations);
+            hits += ExpectBruteForceHits(layout, q, epsilon);
             off_length_prunes += OffLengthPrunes(*layout.on, q, epsilon);
-            hits += static_cast<int64_t>(want.size());
           }
         }
         EXPECT_GT(hits, 0) << layout.name;
@@ -262,6 +295,113 @@ TEST(CascadeDifferentialTest, Erp2dMatchesBruteForce) {
   SweepCase<Point2d> c{gen.GenerateDatabase(10), {}, &erp, true, {3.0, 8.0}};
   for (int i = 0; i < 2; ++i) c.appended.push_back(gen.Generate());
   Sweep(c, 4105);
+}
+
+// ---------------------------------------------------------------------------
+// Step 4 over the tree indexes.
+
+// Prunes reported by the base index alone (the tree walk's gated nodes)
+// and by the whole filter (base plus any delta scan) over the segments
+// of `query`.
+template <typename T>
+std::pair<int64_t, int64_t> TreePrunes(const SubsequenceMatcher<T>& matcher,
+                                       std::span<const T> query,
+                                       double epsilon) {
+  const SegmentQueryBatch batch = matcher.MakeSegmentQueries(query);
+  std::vector<QueryStats> base(batch.queries.size());
+  matcher.index().BatchRangeQuery(batch.queries, epsilon,
+                                  matcher.options().exec, nullptr,
+                                  base.data());
+  std::vector<QueryStats> filter(batch.queries.size());
+  matcher.BatchFilterWindows(batch.queries, epsilon, matcher.options().exec,
+                             nullptr, filter.data());
+  std::pair<int64_t, int64_t> out{0, 0};
+  for (size_t s = 0; s < batch.queries.size(); ++s) {
+    out.first += base[s].lower_bound_pruned;
+    out.second += filter[s].lower_bound_pruned;
+  }
+  return out;
+}
+
+template <typename T>
+void TreeSweep(const SweepCase<T>& c, IndexKind kind, bool bounded,
+               uint64_t seed) {
+  Rng rng(seed);
+  for (const auto& [lambda, lambda0] :
+       {std::pair<int32_t, int32_t>{8, 1}, {20, 0}, {20, 2}}) {
+    std::vector<Pair<T>> layouts = Layouts(c, lambda, lambda0, kind);
+    const SequenceDatabase<T>& all = layouts.back().on->database();
+    const int32_t length = lambda + 2 * lambda0 + 6;
+    const std::vector<std::vector<T>> queries = {
+        MutatedCut(all, 0, length, &rng),
+        MutatedCut(all, all.size() - 1, length, &rng)};
+    for (const Pair<T>& layout : layouts) {
+      SCOPED_TRACE(::testing::Message()
+                   << c.dist->name() << " lambda=" << lambda
+                   << " lambda0=" << lambda0 << " " << layout.name);
+      int64_t base_gates = 0;
+      int64_t hits = 0;
+      for (const std::vector<T>& query : queries) {
+        for (const double epsilon : c.epsilons) {
+          SCOPED_TRACE(::testing::Message() << "epsilon=" << epsilon);
+          const std::span<const T> q(query);
+          hits += ExpectBruteForceHits(layout, q, epsilon);
+          const auto [base, filter] = TreePrunes(*layout.on, q, epsilon);
+          // Over a tree base only a live delta is scanned.
+          if (!bounded && !layout.scanned) {
+            EXPECT_EQ(filter, 0);
+          }
+          base_gates += base;
+        }
+      }
+      EXPECT_GT(hits, 0);
+      if (bounded && kind == IndexKind::kReferenceNet) {
+        EXPECT_GT(base_gates, 0) << "the sum bound never reached the walk";
+      }
+    }
+  }
+}
+
+constexpr IndexKind kTreeKinds[] = {IndexKind::kReferenceNet,
+                                    IndexKind::kCoverTree,
+                                    IndexKind::kMvIndex};
+
+TEST(CascadeTreeDifferentialTest, Erp1dMatchesBruteForceOnEveryTree) {
+  const ErpDistance1D erp;
+  const SweepCase<double> c = SeriesCase(erp, /*metric=*/true, {2.0, 5.0});
+  for (const IndexKind kind : kTreeKinds) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    TreeSweep(c, kind, /*bounded=*/true, 4111);
+  }
+}
+
+TEST(CascadeTreeDifferentialTest, Erp2dMatchesBruteForceOnEveryTree) {
+  const ErpDistance2D erp;
+  TrajectoryGenerator gen(
+      TrajectoryGenOptions{.mean_length = 80, .seed = 4112});
+  SweepCase<Point2d> c{gen.GenerateDatabase(10), {}, &erp, true, {3.0, 8.0}};
+  for (int i = 0; i < 2; ++i) c.appended.push_back(gen.Generate());
+  for (const IndexKind kind : kTreeKinds) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    TreeSweep(c, kind, /*bounded=*/true, 4113);
+  }
+}
+
+TEST(CascadeTreeDifferentialTest, UnboundedControlsOverTheReferenceNet) {
+  const LevenshteinDistance<char> lev;
+  ProteinGenerator proteins(ProteinGenOptions{.mean_length = 80, .seed = 4114});
+  SweepCase<char> strings{proteins.GenerateDatabase(10), {}, &lev, true,
+                          {1.0, 3.0}};
+  for (int i = 0; i < 2; ++i) strings.appended.push_back(proteins.Generate());
+  TreeSweep(strings, IndexKind::kReferenceNet, /*bounded=*/false, 4115);
+
+  const FrechetDistance2D dfd;
+  TrajectoryGenerator tracks(
+      TrajectoryGenOptions{.mean_length = 80, .seed = 4116});
+  SweepCase<Point2d> planar{tracks.GenerateDatabase(10), {}, &dfd, true,
+                            {1.0, 3.0}};
+  for (int i = 0; i < 2; ++i) planar.appended.push_back(tracks.Generate());
+  TreeSweep(planar, IndexKind::kReferenceNet, /*bounded=*/false, 4117);
 }
 
 // ---------------------------------------------------------------------------

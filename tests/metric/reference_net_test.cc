@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <utility>
+#include <vector>
 
 #include "subseq/core/rng.h"
 #include "subseq/metric/counting_oracle.h"
@@ -299,6 +302,85 @@ TEST(ReferenceNetTest, QueryStatsCountComputations) {
   QueryStats stats;
   net.RangeQuery(counted, 3.0, &stats);
   EXPECT_EQ(stats.distance_computations, calls);
+}
+
+// The tightest admissible bound: the exact distance itself, so the gate
+// fires at every node its rule allows.
+class ExactDistanceBound final : public QueryLowerBound {
+ public:
+  explicit ExactDistanceBound(QueryDistanceFn exact)
+      : exact_(std::move(exact)) {}
+
+  void LowerBoundBlock(ObjectId begin, int32_t count, double cutoff,
+                       double* out) const override {
+    (void)cutoff;
+    for (int32_t i = 0; i < count; ++i) out[i] = exact_(begin + i);
+  }
+
+ private:
+  QueryDistanceFn exact_;
+};
+
+// The node gate at its edge. With the exact distance as the bound, a
+// node is gated iff its exact distance exceeds the padded cutoff of
+// epsilon (no child lists) or of epsilon + Radius(L + 1) (highest list
+// level L); anything looser drops hits or billed nodes, anything
+// stricter gates nothing here. The walk must not notice: same hits in
+// the same order, same billed computations, and exactly billed - gated
+// executed calls.
+template <typename Oracle, typename Point>
+void ExpectExactBoundGateKeepsTheWalk(const Oracle& oracle,
+                                      const std::vector<Point>& queries,
+                                      const std::vector<double>& epsilons) {
+  ReferenceNet net = ReferenceNet::BuildAll(oracle);
+  int64_t gated = 0;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    const double eps = epsilons[q];
+    QueryStats plain_stats;
+    const std::vector<ObjectId> plain =
+        net.RangeQuery(oracle.QueryFrom(queries[q]), eps, &plain_stats);
+    int64_t calls = 0;
+    PrunableQueryFn payload;
+    payload.fn = CountingQueryFn(oracle.QueryFrom(queries[q]), &calls);
+    payload.lower_bound =
+        std::make_shared<ExactDistanceBound>(oracle.QueryFrom(queries[q]));
+    QueryStats stats;
+    const std::vector<ObjectId> hits =
+        net.RangeQuery(QueryDistanceFn(std::move(payload)), eps, &stats);
+    EXPECT_EQ(hits, plain) << "query " << q << " eps=" << eps;
+    EXPECT_EQ(stats.distance_computations, plain_stats.distance_computations)
+        << "query " << q << " eps=" << eps;
+    EXPECT_EQ(calls, stats.distance_computations - stats.lower_bound_pruned)
+        << "query " << q << " eps=" << eps;
+    EXPECT_EQ(plain_stats.lower_bound_pruned, 0);
+    gated += stats.lower_bound_pruned;
+  }
+  EXPECT_GT(gated, 0);
+}
+
+TEST(ReferenceNetTest, GateWithTheExactDistanceAsBoundKeepsTheWalk) {
+  Rng rng(81);
+  std::vector<double> scalar_queries;
+  std::vector<Point2d> plane_queries;
+  std::vector<double> epsilons;
+  for (int q = 0; q < 60; ++q) {
+    scalar_queries.push_back(rng.NextDouble(-10.0, 110.0));
+    plane_queries.push_back(
+        Point2d{rng.NextDouble(-5.0, 45.0), rng.NextDouble(-5.0, 45.0)});
+    // Zero, tiny and wide radii: the gate's cutoff pad matters at 0.
+    epsilons.push_back(q % 6 == 0 ? 0.0 : rng.NextDouble(0.0, 12.0));
+  }
+  std::vector<double> scalar = RandomPoints(82, 300, 0.0, 100.0);
+  scalar.insert(scalar.end(), {5.0, 5.0, 50.0});  // exact duplicates
+  ExpectExactBoundGateKeepsTheWalk(ScalarPointOracle(scalar), scalar_queries,
+                                   epsilons);
+
+  std::vector<Point2d> plane;
+  for (int i = 0; i < 250; ++i) {
+    plane.push_back(Point2d{rng.NextDouble(0, 40), rng.NextDouble(0, 40)});
+  }
+  ExpectExactBoundGateKeepsTheWalk(PlanePointOracle(plane), plane_queries,
+                                   epsilons);
 }
 
 }  // namespace
