@@ -12,7 +12,6 @@
 #include "subseq/metric/linear_scan.h"
 #include "subseq/metric/mv_index.h"
 #include "subseq/metric/reference_net.h"
-#include "subseq/metric/vp_tree.h"
 
 namespace subseq::bench {
 
@@ -236,9 +235,6 @@ std::unique_ptr<RangeIndex> BuildIndex(const std::string& kind,
     MvIndexOptions options;
     options.num_references = std::atoi(kind.c_str() + 3);
     return std::make_unique<MvIndex>(oracle, options);
-  }
-  if (kind == "vp") {
-    return std::make_unique<VpTree>(oracle);
   }
   if (kind == "scan") {
     return std::make_unique<LinearScan>(oracle.size());

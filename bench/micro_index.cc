@@ -13,7 +13,6 @@
 #include "subseq/metric/mv_index.h"
 #include "subseq/metric/oracle.h"
 #include "subseq/metric/reference_net.h"
-#include "subseq/metric/vp_tree.h"
 
 namespace subseq {
 namespace {
@@ -126,19 +125,6 @@ void BM_MvIndexBuildThreads(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 
-void BM_VpTreeBuildThreads(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
-  const PointOracle oracle(MakePoints(n, 7));
-  VpTreeOptions options;
-  options.exec = ExecContext{threads};
-  for (auto _ : state) {
-    const VpTree tree(oracle, options);
-    benchmark::DoNotOptimize(tree.size());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-
 void BM_BatchRangeQueryThreads(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int threads = static_cast<int>(state.range(1));
@@ -174,9 +160,6 @@ BENCHMARK(BM_MvIndexBuildThreads)
     ->Args({5000, 2})
     ->Args({5000, 4})
     ->Args({5000, 8});
-BENCHMARK(BM_VpTreeBuildThreads)
-    ->Args({20000, 1})
-    ->Args({20000, 4});
 BENCHMARK(BM_BatchRangeQueryThreads)
     ->Args({20000, 1})
     ->Args({20000, 2})

@@ -36,7 +36,6 @@
 #include "subseq/metric/mv_index.h"
 #include "subseq/metric/partitioned_index.h"
 #include "subseq/metric/reference_net.h"
-#include "subseq/metric/vp_tree.h"
 
 namespace subseq::bench {
 namespace {
@@ -69,8 +68,8 @@ int Run() {
 
   std::printf("windows=%d queries=%d epsilon=%.1f\n\n", oracle.size(),
               num_queries, epsilon);
-  std::printf("%8s %12s %12s %12s %14s %14s\n", "threads", "mv_build_ms",
-              "vp_build_ms", "rn_build_ms", "rn_query_ms", "scan_query_ms");
+  std::printf("%8s %12s %12s %14s %14s\n", "threads", "mv_build_ms",
+              "rn_build_ms", "rn_query_ms", "scan_query_ms");
 
   std::vector<BenchRecord> records;
   std::vector<std::vector<ObjectId>> reference_results;
@@ -85,12 +84,6 @@ int Run() {
     mv_options.exec = exec;
     const MvIndex mv(oracle, mv_options);
     const double mv_build_ms = MillisSince(t0);
-
-    t0 = std::chrono::steady_clock::now();
-    VpTreeOptions vp_options;
-    vp_options.exec = exec;
-    const VpTree vp(oracle, vp_options);
-    const double vp_build_ms = MillisSince(t0);
 
     t0 = std::chrono::steady_clock::now();
     ReferenceNetOptions rn_options;
@@ -117,11 +110,10 @@ int Run() {
       SUBSEQ_CHECK(rn_results == reference_results);
     }
 
-    std::printf("%8d %12.1f %12.1f %12.1f %14.1f %14.1f\n", threads,
-                mv_build_ms, vp_build_ms, rn_build_ms, rn_query_ms,
-                scan_query_ms);
+    std::printf("%8d %12.1f %12.1f %14.1f %14.1f\n", threads, mv_build_ms,
+                rn_build_ms, rn_query_ms, scan_query_ms);
 
-    const double build_ms = mv_build_ms + vp_build_ms + rn_build_ms;
+    const double build_ms = mv_build_ms + rn_build_ms;
     const double query_ms = rn_query_ms + scan_query_ms;
     if (threads == 1) {
       base_build = build_ms;
@@ -131,7 +123,6 @@ int Run() {
         "threads=" + std::to_string(threads),
         {{"threads", static_cast<double>(threads)},
          {"mv_build_ms", mv_build_ms},
-         {"vp_build_ms", vp_build_ms},
          {"rn_build_ms", rn_build_ms},
          {"rn_query_ms", rn_query_ms},
          {"scan_query_ms", scan_query_ms},

@@ -138,9 +138,6 @@ Result<std::unique_ptr<RangeIndex>> BuildKindIndex(
     case IndexKind::kMvIndex:
       return std::unique_ptr<RangeIndex>(
           std::make_unique<MvIndex>(oracle, options.mv_index));
-    case IndexKind::kVpTree:
-      return std::unique_ptr<RangeIndex>(
-          std::make_unique<VpTree>(oracle, options.vp_tree));
     case IndexKind::kLinearScan:
       return std::unique_ptr<RangeIndex>(
           std::make_unique<LinearScan>(oracle.size()));
@@ -177,6 +174,20 @@ Status MatcherOptions::Validate() const {
   if (lambda0 < 0 || lambda0 >= lambda / 2) {
     return Status::InvalidArgument(
         "lambda0 must satisfy 0 <= lambda0 < lambda/2");
+  }
+  // A kind read back from a file or a flag can hold a value no
+  // enumerator names.
+  switch (index_kind) {
+    case IndexKind::kReferenceNet:
+    case IndexKind::kCoverTree:
+    case IndexKind::kMvIndex:
+    case IndexKind::kLinearScan:
+      break;
+    default:
+      return Status::InvalidArgument(
+          "index_kind " + std::to_string(static_cast<int>(index_kind)) +
+          " names no index (reference net 0, cover tree 1, MV index 2, "
+          "linear scan 4)");
   }
   // Budget-exhaustion semantics are explicit at the boundary: step 5
   // charges every candidate pair against the budget *before* verifying
@@ -262,9 +273,6 @@ Result<std::unique_ptr<SubsequenceMatcher<T>>> SubsequenceMatcher<T>::MakeShell(
   }
   if (options.mv_index.exec.num_threads == 0) {
     options.mv_index.exec = options.exec;
-  }
-  if (options.vp_tree.exec.num_threads == 0) {
-    options.vp_tree.exec = options.exec;
   }
 
   auto matcher = std::unique_ptr<SubsequenceMatcher<T>>(new SubsequenceMatcher<T>(

@@ -39,7 +39,6 @@
 #include "subseq/metric/mv_index.h"
 #include "subseq/metric/range_index.h"
 #include "subseq/metric/reference_net.h"
-#include "subseq/metric/vp_tree.h"
 #include "subseq/snapshot/format.h"
 
 namespace subseq {
@@ -49,13 +48,14 @@ class SnapshotFile;
 class SnapshotWriter;
 struct LbFeatureTable;
 
-/// Which index backs the window filter.
+/// Which index backs the window filter. Snapshots store the value
+/// (idx.<kind>.top), so the values are fixed: never renumber one, and
+/// never reuse 3, the retired vp-tree's value.
 enum class IndexKind {
-  kReferenceNet,
-  kCoverTree,
-  kMvIndex,
-  kVpTree,
-  kLinearScan,
+  kReferenceNet = 0,
+  kCoverTree = 1,
+  kMvIndex = 2,
+  kLinearScan = 4,
 };
 
 /// Framework parameters.
@@ -71,7 +71,6 @@ struct MatcherOptions {
   ReferenceNetOptions reference_net;
   CoverTreeOptions cover_tree;
   MvIndexOptions mv_index;
-  VpTreeOptions vp_tree;
   /// Step-4 lower-bound pruning cascade (frame/lb_prefilter.h): every
   /// query segment — each of the 2 * lambda0 + 1 segment lengths — gets
   /// an admissible per-window lower bound where its distance has one.
@@ -116,8 +115,8 @@ struct MatcherOptions {
   /// num_threads = 0 (the default) uses the hardware concurrency; 1 is
   /// fully sequential. Results and stats are identical at any setting —
   /// the knob trades wall-clock time only. Pushed down into
-  /// reference_net / mv_index / vp_tree at Build unless that index's own
-  /// exec was set explicitly (num_threads != 0).
+  /// reference_net / mv_index at Build unless that index's own exec was
+  /// set explicitly (num_threads != 0).
   ///
   /// exec.num_shards > 1 partitions the window catalog into that many
   /// contiguous shards and builds one index of index_kind per shard
@@ -161,7 +160,7 @@ struct MatcherOptions {
   /// the knob trades startup time and resident memory only.
   SnapshotLoadMode snapshot_load_mode = SnapshotLoadMode::kEager;
 
-  /// Validates the framework parameters (lambda, lambda0,
+  /// Validates the framework parameters (lambda, lambda0, index_kind,
   /// max_verifications, exec knobs) with explicit messages for the edge
   /// cases; Build calls this before touching the database. The distance
   /// property checks (consistency, metricity) live in Build, which has
@@ -176,8 +175,8 @@ struct SnapshotBuildOptions {
   /// cover tree) per batch before the residency gauge is charged again.
   /// 0 = one batch per part. Any batch size produces byte-identical
   /// snapshots: insertions happen in ascending id order regardless of
-  /// how they are batched. Table-built backends (MV-index, VP-tree,
-  /// linear scan) always materialize a whole part at once.
+  /// how they are batched. Table-built backends (MV-index, linear scan)
+  /// always materialize a whole part at once.
   int32_t batch_windows = 0;
 };
 

@@ -12,7 +12,7 @@
 //                         sections, or the partition layout followed by
 //                         per-part backend sections (idx.<kind>.p<p>.*)
 //
-// Kind tokens (rn / ct / mv / vp / ls) keep blocks of different kinds
+// Kind tokens (rn / ct / mv / ls) keep blocks of different kinds
 // disjoint, so one file can host several matchers over one catalog (the
 // serving layer saves all its kinds into one snapshot). Section append
 // order is FIXED — Build + SaveIndex and the out-of-core BuildToSnapshot
@@ -38,13 +38,13 @@ namespace subseq {
 namespace {
 
 // Stable short token of an IndexKind, used in section names. Tokens are
-// part of the on-disk format: never re-use or re-order.
+// part of the on-disk format: never re-use or re-order ("vp", the retired
+// vp-tree's token, included).
 const char* IndexKindToken(IndexKind kind) {
   switch (kind) {
     case IndexKind::kReferenceNet: return "rn";
     case IndexKind::kCoverTree: return "ct";
     case IndexKind::kMvIndex: return "mv";
-    case IndexKind::kVpTree: return "vp";
     case IndexKind::kLinearScan: return "ls";
   }
   return "??";
@@ -138,11 +138,6 @@ Status SaveInnerSections(const RangeIndex& inner, IndexKind kind,
       if (mv == nullptr) break;
       return mv->SaveSections(writer, prefix);
     }
-    case IndexKind::kVpTree: {
-      const auto* vp = dynamic_cast<const VpTree*>(&inner);
-      if (vp == nullptr) break;
-      return vp->SaveSections(writer, prefix);
-    }
     case IndexKind::kLinearScan: {
       const auto* scan = dynamic_cast<const LinearScan*>(&inner);
       if (scan == nullptr) break;
@@ -178,11 +173,6 @@ Result<std::unique_ptr<RangeIndex>> LoadInnerSections(
           MvIndex::LoadSections(file, prefix, oracle, options.mv_index);
       SUBSEQ_RETURN_NOT_OK(mv.status());
       return std::unique_ptr<RangeIndex>(std::move(mv).ValueOrDie());
-    }
-    case IndexKind::kVpTree: {
-      auto vp = VpTree::LoadSections(*file, prefix, oracle, options.vp_tree);
-      SUBSEQ_RETURN_NOT_OK(vp.status());
-      return std::unique_ptr<RangeIndex>(std::move(vp).ValueOrDie());
     }
     case IndexKind::kLinearScan: {
       auto scan = LinearScan::LoadSections(*file, prefix, oracle);
@@ -232,9 +222,6 @@ Result<std::unique_ptr<RangeIndex>> BuildPartBatched(
       case IndexKind::kMvIndex:
         return std::unique_ptr<RangeIndex>(
             std::make_unique<MvIndex>(oracle, options.mv_index));
-      case IndexKind::kVpTree:
-        return std::unique_ptr<RangeIndex>(
-            std::make_unique<VpTree>(oracle, options.vp_tree));
       case IndexKind::kLinearScan:
         return std::unique_ptr<RangeIndex>(
             std::make_unique<LinearScan>(n));

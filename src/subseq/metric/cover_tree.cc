@@ -4,13 +4,11 @@
 #include <cmath>
 #include <cstdio>
 #include <deque>
-#include <queue>
 
 #include "subseq/distance/distance.h"
 
 #include "subseq/core/check.h"
 #include "subseq/core/rng.h"
-#include "subseq/metric/knn.h"
 #include "subseq/snapshot/reader.h"
 #include "subseq/snapshot/writer.h"
 
@@ -230,45 +228,6 @@ std::vector<ObjectId> CoverTree::RangeQueryWithScratch(
     stats->result_count = static_cast<int64_t>(results.size());
   }
   return results;
-}
-
-std::vector<Neighbor> CoverTree::NearestNeighbors(
-    const QueryDistanceFn& query, int32_t k, QueryStats* stats) const {
-  KnnCollector collector(k);
-  int64_t computations = 0;
-  if (root_ >= 0 && k > 0) {
-    using Entry = std::pair<double, int32_t>;  // (lower bound, node)
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>>
-        frontier;
-    frontier.emplace(0.0, root_);
-    while (!frontier.empty()) {
-      const auto [bound, ni] = frontier.top();
-      frontier.pop();
-      if (collector.Full() && bound >= collector.Threshold()) break;
-      const Node& n = nodes_[static_cast<size_t>(ni)];
-      ++computations;
-      const double d = query(n.object);
-      collector.Offer(n.object, d);
-      for (const ObjectId dup : n.duplicates) collector.Offer(dup, d);
-      for (const auto& [list_level, members] : n.lists) {
-        const double child_subtree_bound = Radius(list_level);
-        for (const Edge& edge : members) {
-          const double child_bound = std::max(
-              0.0, std::fabs(d - edge.distance) - child_subtree_bound);
-          if (collector.Full() && child_bound >= collector.Threshold()) {
-            continue;  // a tree: this subtree is unreachable elsewhere
-          }
-          frontier.emplace(child_bound, edge.child);
-        }
-      }
-    }
-  }
-  std::vector<Neighbor> out = collector.Take();
-  if (stats != nullptr) {
-    stats->distance_computations = computations;
-    stats->result_count = static_cast<int64_t>(out.size());
-  }
-  return out;
 }
 
 void CoverTree::CollectSubtree(int32_t node_index, std::vector<ObjectId>* out,

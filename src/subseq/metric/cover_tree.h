@@ -60,11 +60,6 @@ class CoverTree final : public RangeIndex {
                                    double epsilon,
                                    QueryStats* stats) const override;
 
-  /// Exact k-nearest-neighbor search via best-first traversal.
-  std::vector<Neighbor> NearestNeighbors(const QueryDistanceFn& query,
-                                         int32_t k,
-                                         QueryStats* stats) const override;
-
   SpaceStats ComputeSpaceStats() const override;
   BuildStats build_stats() const override { return build_stats_; }
 

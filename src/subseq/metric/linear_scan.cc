@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "subseq/exec/parallel_for.h"
-#include "subseq/metric/knn.h"
 #include "subseq/snapshot/reader.h"
 #include "subseq/snapshot/writer.h"
 
@@ -162,22 +161,6 @@ std::vector<std::vector<ObjectId>> LinearScan::BatchRangeQuery(
     if (sink != nullptr) sink->Add(stats);
   }
   return results;
-}
-
-std::vector<Neighbor> LinearScan::NearestNeighbors(
-    const QueryDistanceFn& query, int32_t k, QueryStats* stats) const {
-  KnnCollector collector(k);
-  for (ObjectId id = 0; id < num_objects_; ++id) {
-    collector.Offer(id, query(id));
-  }
-  if (stats != nullptr) {
-    stats->distance_computations = num_objects_;
-  }
-  std::vector<Neighbor> out = collector.Take();
-  if (stats != nullptr) {
-    stats->result_count = static_cast<int64_t>(out.size());
-  }
-  return out;
 }
 
 SpaceStats LinearScan::ComputeSpaceStats() const {

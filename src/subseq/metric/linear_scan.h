@@ -37,10 +37,6 @@ class LinearScan final : public RangeIndex {
       const ExecContext& exec, StatsSink* sink,
       QueryStats* per_query = nullptr) const override;
 
-  std::vector<Neighbor> NearestNeighbors(const QueryDistanceFn& query,
-                                         int32_t k,
-                                         QueryStats* stats) const override;
-
   SpaceStats ComputeSpaceStats() const override;
   BuildStats build_stats() const override { return BuildStats{}; }
 

@@ -9,7 +9,6 @@
 #include "subseq/core/rng.h"
 #include "subseq/exec/parallel_for.h"
 #include "subseq/exec/stats_sink.h"
-#include "subseq/metric/knn.h"
 #include "subseq/snapshot/reader.h"
 #include "subseq/snapshot/writer.h"
 
@@ -236,48 +235,6 @@ std::vector<ObjectId> MvIndex::RangeQuery(const QueryDistanceFn& query,
     stats->result_count = static_cast<int64_t>(results.size());
   }
   return results;
-}
-
-std::vector<Neighbor> MvIndex::NearestNeighbors(const QueryDistanceFn& query,
-                                                int32_t k,
-                                                QueryStats* stats) const {
-  KnnCollector collector(k);
-  int64_t computations = 0;
-  const int32_t n = num_objects_;
-  const int32_t refs = static_cast<int32_t>(references_.size());
-  if (n > 0 && k > 0) {
-    std::vector<double> dq(static_cast<size_t>(refs));
-    for (int32_t j = 0; j < refs; ++j) {
-      ++computations;
-      dq[static_cast<size_t>(j)] = query(references_[static_cast<size_t>(j)]);
-    }
-    // Per-object lower bounds from the pivot table, scanned best-first:
-    // once the bound reaches the current k-th distance, the rest of the
-    // database cannot improve the result.
-    std::vector<std::pair<double, ObjectId>> order;
-    order.reserve(static_cast<size_t>(n));
-    for (ObjectId x = 0; x < n; ++x) {
-      double lower = 0.0;
-      const double* row =
-          &table_[static_cast<size_t>(x) * static_cast<size_t>(refs)];
-      for (int32_t j = 0; j < refs; ++j) {
-        lower = std::max(lower, std::fabs(dq[static_cast<size_t>(j)] - row[j]));
-      }
-      order.emplace_back(lower, x);
-    }
-    std::sort(order.begin(), order.end());
-    for (const auto& [lower, x] : order) {
-      if (collector.Full() && lower >= collector.Threshold()) break;
-      ++computations;
-      collector.Offer(x, query(x));
-    }
-  }
-  std::vector<Neighbor> out = collector.Take();
-  if (stats != nullptr) {
-    stats->distance_computations = computations;
-    stats->result_count = static_cast<int64_t>(out.size());
-  }
-  return out;
 }
 
 SpaceStats MvIndex::ComputeSpaceStats() const {

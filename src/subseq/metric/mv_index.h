@@ -55,10 +55,6 @@ class MvIndex final : public RangeIndex {
                                    double epsilon,
                                    QueryStats* stats) const override;
 
-  std::vector<Neighbor> NearestNeighbors(const QueryDistanceFn& query,
-                                         int32_t k,
-                                         QueryStats* stats) const override;
-
   SpaceStats ComputeSpaceStats() const override;
   BuildStats build_stats() const override { return build_stats_; }
 

@@ -458,65 +458,6 @@ std::vector<std::vector<ObjectId>> PartitionedIndex::BatchRangeQuery(
   return results;
 }
 
-std::vector<Neighbor> PartitionedIndex::NearestNeighbors(
-    const QueryDistanceFn& query, int32_t k, QueryStats* stats) const {
-  const int32_t parts = num_parts();
-  // Visit parts by ascending optimistic bound max(0, d(q, pivot) - r_c)
-  // (ties by part) so near cells tighten the k-th best distance before
-  // far cells are considered. Unrouted parts all bound at 0: part order.
-  std::vector<std::pair<double, int32_t>> order(static_cast<size_t>(parts));
-  for (int32_t p = 0; p < parts; ++p) {
-    const double bound =
-        routed() ? std::max(0.0, query(layout_.pivots[static_cast<size_t>(p)]) -
-                                     layout_.radii[static_cast<size_t>(p)])
-                 : 0.0;
-    order[static_cast<size_t>(p)] = {bound, p};
-  }
-  std::sort(order.begin(), order.end());
-
-  std::vector<Neighbor> best;
-  QueryStats total;
-  int64_t probed = 0;
-  for (const auto& [bound, p] : order) {
-    // Sound skip: every member of the cell is at least `bound` away; if
-    // we already hold k neighbors all strictly closer (with the same
-    // rounding margin range routing uses), the cell cannot contribute.
-    if (routed() && k > 0 && best.size() >= static_cast<size_t>(k) &&
-        bound > LowerBoundPruneCutoff(best.back().distance)) {
-      continue;
-    }
-    ++probed;
-    const Part& part = parts_[static_cast<size_t>(p)];
-    QueryStats part_stats;
-    std::vector<Neighbor> local =
-        part.index->NearestNeighbors(PartQuery(query, p), k, &part_stats);
-    total += part_stats;
-    for (Neighbor& nb : local) {
-      nb.id = part.oracle->ToParent(nb.id);
-      best.push_back(nb);
-    }
-    // Keep only the running k best; stable sort keeps (visit order,
-    // inner order) among exact ties — the index-dependent freedom the
-    // RangeIndex contract allows. Each part returned its k closest, so
-    // the global k closest always survive.
-    std::stable_sort(best.begin(), best.end(),
-                     [](const Neighbor& a, const Neighbor& b) {
-                       return a.distance < b.distance;
-                     });
-    if (k >= 0 && best.size() > static_cast<size_t>(k)) {
-      best.resize(static_cast<size_t>(k));
-    }
-  }
-  total.result_count = static_cast<int64_t>(best.size());
-  if (routed()) {
-    total.distance_computations += parts;
-    total.cells_probed += probed;
-    total.cells_skipped += parts - probed;
-  }
-  if (stats != nullptr) *stats = total;
-  return best;
-}
-
 SpaceStats PartitionedIndex::ComputeSpaceStats() const {
   SpaceStats total;
   double weighted_parents = 0.0;

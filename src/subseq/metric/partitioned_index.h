@@ -222,16 +222,6 @@ class PartitionedIndex final : public RangeIndex {
       const ExecContext& exec, StatsSink* sink,
       QueryStats* per_query = nullptr) const override;
 
-  /// Exact global k-NN: parts are visited by ascending lower bound
-  /// max(0, d(q, pivot) - r_c) (ties and contiguous layouts in part
-  /// order), a cell whose bound exceeds the running k-th best distance
-  /// is skipped, and each visited part's k best merge by ascending
-  /// distance (stable — ties keep visit order, then the inner index's
-  /// order).
-  std::vector<Neighbor> NearestNeighbors(const QueryDistanceFn& query,
-                                         int32_t k,
-                                         QueryStats* stats) const override;
-
   /// Aggregate over parts plus the layout tables: counts and bytes sum,
   /// num_levels is the max, avg_parents is the node-weighted mean.
   SpaceStats ComputeSpaceStats() const override;

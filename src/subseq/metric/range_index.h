@@ -98,16 +98,6 @@ struct SpaceStats {
   int64_t approx_bytes = 0;
 };
 
-/// One k-nearest-neighbor result.
-struct Neighbor {
-  ObjectId id = kInvalidId;
-  double distance = 0.0;
-
-  friend bool operator==(const Neighbor& a, const Neighbor& b) {
-    return a.id == b.id && a.distance == b.distance;
-  }
-};
-
 /// A metric range index over the objects of a DistanceOracle.
 class RangeIndex {
  public:
@@ -162,15 +152,6 @@ class RangeIndex {
       std::span<const QueryDistanceFn> queries, double epsilon,
       const ExecContext& exec = {}, StatsSink* sink = nullptr,
       QueryStats* per_query = nullptr) const;
-
-  /// Returns the k objects closest to the query, sorted by ascending
-  /// distance. Exact for metric distances: the returned distance multiset
-  /// is optimal; among objects tied exactly at the k-th distance the
-  /// choice is index-dependent. Returns fewer than k neighbors only when
-  /// the index holds fewer objects.
-  virtual std::vector<Neighbor> NearestNeighbors(
-      const QueryDistanceFn& query, int32_t k,
-      QueryStats* stats = nullptr) const = 0;
 
   /// Structural size of the index.
   virtual SpaceStats ComputeSpaceStats() const = 0;

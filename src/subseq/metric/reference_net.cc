@@ -4,14 +4,12 @@
 #include <cmath>
 #include <cstdio>
 #include <deque>
-#include <queue>
 
 #include "subseq/distance/distance.h"
 
 #include "subseq/core/check.h"
 #include "subseq/core/rng.h"
 #include "subseq/exec/parallel_for.h"
-#include "subseq/metric/knn.h"
 #include "subseq/snapshot/reader.h"
 #include "subseq/snapshot/writer.h"
 
@@ -367,57 +365,6 @@ std::vector<ObjectId> ReferenceNet::RangeQueryWithScratch(
     stats->lb_erp_pruned = stages.erp_pruned;
   }
   return results;
-}
-
-std::vector<Neighbor> ReferenceNet::NearestNeighbors(
-    const QueryDistanceFn& query, int32_t k, QueryStats* stats) const {
-  KnnCollector collector(k);
-  int64_t computations = 0;
-  if (root_ >= 0 && k > 0) {
-    // Best-first frontier over nodes, ordered by a lower bound on the
-    // distance of anything in the node's subtree. A node's bound comes
-    // from its parent's computed distance and the stored edge distance:
-    // |d(q, parent) - e| - Radius(list_level) <= d(q, anything below).
-    using Entry = std::pair<double, int32_t>;  // (lower bound, node)
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>>
-        frontier;
-    std::vector<uint8_t> enqueued(nodes_.size(), 0);
-    frontier.emplace(0.0, root_);
-    enqueued[static_cast<size_t>(root_)] = 1;
-    while (!frontier.empty()) {
-      const auto [bound, ni] = frontier.top();
-      frontier.pop();
-      // Everything left in the frontier has a lower bound at least this
-      // large, so once it cannot beat the k-th neighbor we are done.
-      if (collector.Full() && bound >= collector.Threshold()) break;
-      const Node& n = nodes_[static_cast<size_t>(ni)];
-      ++computations;
-      const double d = query(n.object);
-      collector.Offer(n.object, d);
-      for (const ObjectId dup : n.duplicates) collector.Offer(dup, d);
-      for (const auto& [list_level, members] : n.lists) {
-        const double child_subtree_bound = Radius(list_level);
-        for (const Edge& edge : members) {
-          if (enqueued[static_cast<size_t>(edge.child)]) continue;
-          const double child_bound = std::max(
-              0.0, std::fabs(d - edge.distance) - child_subtree_bound);
-          if (collector.Full() && child_bound >= collector.Threshold()) {
-            // Leave it unexplored for now; it may still be reached (and
-            // re-bounded) through another parent.
-            continue;
-          }
-          frontier.emplace(child_bound, edge.child);
-          enqueued[static_cast<size_t>(edge.child)] = 1;
-        }
-      }
-    }
-  }
-  std::vector<Neighbor> out = collector.Take();
-  if (stats != nullptr) {
-    stats->distance_computations = computations;
-    stats->result_count = static_cast<int64_t>(out.size());
-  }
-  return out;
 }
 
 void ReferenceNet::CollectSubtree(int32_t node_index,

@@ -17,7 +17,6 @@
 #include "subseq/distance/levenshtein.h"
 #include "subseq/exec/stats_sink.h"
 #include "subseq/frame/matcher.h"
-#include "subseq/metric/counting_oracle.h"
 #include "subseq/metric/linear_scan.h"
 #include "testing/helpers.h"
 
@@ -26,14 +25,13 @@ namespace {
 
 constexpr IndexKind kAllKinds[] = {
     IndexKind::kReferenceNet, IndexKind::kCoverTree, IndexKind::kMvIndex,
-    IndexKind::kVpTree, IndexKind::kLinearScan};
+    IndexKind::kLinearScan};
 
 const char* KindName(IndexKind kind) {
   switch (kind) {
     case IndexKind::kReferenceNet: return "reference-net";
     case IndexKind::kCoverTree: return "cover-tree";
     case IndexKind::kMvIndex: return "mv-index";
-    case IndexKind::kVpTree: return "vp-tree";
     case IndexKind::kLinearScan: return "linear-scan";
   }
   return "?";
@@ -176,9 +174,8 @@ TEST(ParallelDeterminismTest, BatchRangeQueryMatchesPerQueryResults) {
   ReferenceNet net = ReferenceNet::BuildAll(oracle);
   CoverTree tree = CoverTree::BuildAll(oracle);
   const MvIndex mv(oracle);
-  const VpTree vp(oracle);
   const LinearScan scan(oracle.size());
-  const RangeIndex* indexes[] = {&net, &tree, &mv, &vp, &scan};
+  const RangeIndex* indexes[] = {&net, &tree, &mv, &scan};
 
   std::vector<QueryDistanceFn> queries;
   std::vector<double> centers;

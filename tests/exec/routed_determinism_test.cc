@@ -33,14 +33,13 @@ namespace {
 
 constexpr IndexKind kAllKinds[] = {
     IndexKind::kReferenceNet, IndexKind::kCoverTree, IndexKind::kMvIndex,
-    IndexKind::kVpTree, IndexKind::kLinearScan};
+    IndexKind::kLinearScan};
 
 const char* KindName(IndexKind kind) {
   switch (kind) {
     case IndexKind::kReferenceNet: return "reference-net";
     case IndexKind::kCoverTree: return "cover-tree";
     case IndexKind::kMvIndex: return "mv-index";
-    case IndexKind::kVpTree: return "vp-tree";
     case IndexKind::kLinearScan: return "linear-scan";
   }
   return "?";
@@ -396,9 +395,7 @@ TEST(RoutedDeterminismTest, BuildToSnapshotMatchesInCoreRoutedBuild) {
   options.lambda = 20;
   options.lambda0 = 2;
   options.exec.routing_cells = 4;
-  for (const IndexKind kind :
-       {IndexKind::kReferenceNet, IndexKind::kCoverTree, IndexKind::kVpTree,
-        IndexKind::kLinearScan}) {
+  for (const IndexKind kind : kAllKinds) {
     options.index_kind = kind;
     auto fresh =
         std::move(SubsequenceMatcher<char>::Build(db, dist, options))

@@ -28,14 +28,13 @@ namespace {
 
 constexpr IndexKind kAllKinds[] = {
     IndexKind::kReferenceNet, IndexKind::kCoverTree, IndexKind::kMvIndex,
-    IndexKind::kVpTree, IndexKind::kLinearScan};
+    IndexKind::kLinearScan};
 
 const char* KindName(IndexKind kind) {
   switch (kind) {
     case IndexKind::kReferenceNet: return "reference-net";
     case IndexKind::kCoverTree: return "cover-tree";
     case IndexKind::kMvIndex: return "mv-index";
-    case IndexKind::kVpTree: return "vp-tree";
     case IndexKind::kLinearScan: return "linear-scan";
   }
   return "?";

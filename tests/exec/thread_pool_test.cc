@@ -13,11 +13,14 @@
 #include "subseq/exec/parallel_for.h"
 #include "subseq/exec/stats_sink.h"
 #include "subseq/exec/thread_pool.h"
-#include "subseq/metric/counting_oracle.h"
+#include "testing/counting_oracle.h"
 #include "testing/helpers.h"
 
 namespace subseq {
 namespace {
+
+using ::subseq::testing::CountingOracle;
+using ::subseq::testing::CountingQueryFn;
 
 TEST(ExecContextTest, ResolvedThreadsHasFloorOfOne) {
   EXPECT_GE(ExecContext{}.ResolvedThreads(), 1);

@@ -47,7 +47,7 @@ std::vector<char> ReadFileBytes(const std::string& path) {
 
 const std::vector<IndexKind> kAllKinds = {
     IndexKind::kReferenceNet, IndexKind::kCoverTree, IndexKind::kMvIndex,
-    IndexKind::kVpTree, IndexKind::kLinearScan};
+    IndexKind::kLinearScan};
 
 /// A query cut from sequence `seq` of the database (length 26).
 template <typename T>
@@ -164,7 +164,7 @@ TEST(EpochDeterminismTest, LiveOpsMatchColdBuildAcrossKindsThreadsPartitions) {
       // Partitioned bases: the routed metric backends split by distance
       // cells, the rest by contiguous shards — the live delta and the
       // tombstone mask sit on top of either identically.
-      if (kind == IndexKind::kReferenceNet || kind == IndexKind::kVpTree) {
+      if (kind == IndexKind::kReferenceNet || kind == IndexKind::kCoverTree) {
         options.exec.routing_cells = 2;
       } else {
         options.exec.num_shards = 2;
@@ -405,7 +405,7 @@ TEST(EpochDeterminismTest, MidIngestSnapshotRoundTripsByteStably) {
     options.lambda = 20;
     options.lambda0 = 5;
     options.index_kind = kind;
-    if (kind == IndexKind::kReferenceNet || kind == IndexKind::kVpTree) {
+    if (kind == IndexKind::kReferenceNet || kind == IndexKind::kCoverTree) {
       options.exec.routing_cells = 2;
     } else {
       options.exec.num_shards = 2;

@@ -554,7 +554,7 @@ TEST(MatcherTypeIIITest, RejectsBadIncrement) {
 
 constexpr IndexKind kAllKinds[] = {
     IndexKind::kReferenceNet, IndexKind::kCoverTree, IndexKind::kMvIndex,
-    IndexKind::kVpTree, IndexKind::kLinearScan};
+    IndexKind::kLinearScan};
 constexpr IndexKind kScanOnly[] = {IndexKind::kLinearScan};
 
 /// The Type III schedule as the paper states it, run serially with a

@@ -21,7 +21,6 @@
 #include "subseq/metric/linear_scan.h"
 #include "subseq/metric/mv_index.h"
 #include "subseq/metric/reference_net.h"
-#include "subseq/metric/vp_tree.h"
 #include "testing/helpers.h"
 
 namespace subseq {
@@ -56,9 +55,6 @@ std::unique_ptr<RangeIndex> MakeIndex(const std::string& kind,
   }
   if (kind == "mv-index") {
     return std::make_unique<MvIndex>(oracle);
-  }
-  if (kind == "vp-tree") {
-    return std::make_unique<VpTree>(oracle);
   }
   ADD_FAILURE() << "unknown index kind " << kind;
   return nullptr;
@@ -109,8 +105,7 @@ TEST_P(PointEquivalence, MatchesLinearScan) {
 INSTANTIATE_TEST_SUITE_P(
     AllIndexesAllDistributions, PointEquivalence,
     ::testing::Combine(::testing::Values("reference-net", "reference-net-5",
-                                         "cover-tree", "mv-index",
-                                         "vp-tree"),
+                                         "cover-tree", "mv-index"),
                        ::testing::Values("uniform", "gaussian", "clustered")),
     [](const auto& info) {
       std::string name =
@@ -193,7 +188,7 @@ TEST_P(WindowEquivalence, SongWindowsErpAndFrechet) {
 INSTANTIATE_TEST_SUITE_P(AllIndexes, WindowEquivalence,
                          ::testing::Values("reference-net",
                                            "reference-net-5", "cover-tree",
-                                           "mv-index", "vp-tree"),
+                                           "mv-index"),
                          [](const auto& info) {
                            std::string name = info.param;
                            std::replace(name.begin(), name.end(), '-', '_');

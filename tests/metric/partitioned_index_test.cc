@@ -1,14 +1,14 @@
 // PartitionedIndex unit tests. PartitionedIndexTest runs the contract
 // both layouts share (equivalence with the monolithic scan, exact
-// billing, batch == single stats splits, kNN, snapshot round-trip) over
-// empty, single-object and small catalogs. ShardedIndexTest pins the
-// contiguous layout (even split, element-wise equality with the
+// billing, batch == single stats splits, snapshot round-trip) over
+// empty, single-object and small catalogs, and PartitionedLayoutTest
+// runs it on larger catalogs, one row per layout. ShardedIndexTest pins
+// the contiguous layout (even split, element-wise equality with the
 // monolithic scan) and RoutedIndexTest the k-center one (cell layout
 // invariants, triangle-inequality routing soundness, billing of routing
 // distances plus probed cells, skew rebalancing, duplicate-driven early
-// stop); their checks of the shared contract on larger catalogs go
-// through the same helpers. PerQueryStatsContract* pins the enforced
-// per-query stats split of RangeIndex::BatchRangeQuery.
+// stop). PerQueryStatsContract* pins the enforced per-query stats split
+// of RangeIndex::BatchRangeQuery.
 
 #include "subseq/metric/partitioned_index.h"
 
@@ -26,14 +26,22 @@
 
 #include "subseq/core/rng.h"
 #include "subseq/exec/stats_sink.h"
+#include "subseq/metric/cover_tree.h"
 #include "subseq/metric/linear_scan.h"
 #include "subseq/metric/reference_net.h"
-#include "subseq/metric/vp_tree.h"
 #include "subseq/snapshot/reader.h"
 #include "subseq/snapshot/writer.h"
 #include "testing/helpers.h"
 
 namespace subseq {
+
+// Names a layout kind in test names. It sits outside the anonymous
+// namespace because gtest finds a parameter's printer by
+// argument-dependent lookup, in PartitionKind's own namespace.
+static void PrintTo(PartitionKind kind, std::ostream* os) {
+  *os << (kind == PartitionKind::kKCenter ? "kcenter" : "contiguous");
+}
+
 namespace {
 
 using ::subseq::testing::RandomSeries;
@@ -47,10 +55,14 @@ PartIndexFactory LinearScanFactory() {
   };
 }
 
-PartIndexFactory VpTreeFactory() {
+PartIndexFactory CoverTreeFactory() {
   return [](const DistanceOracle& oracle,
             int32_t) -> Result<std::unique_ptr<RangeIndex>> {
-    return std::unique_ptr<RangeIndex>(std::make_unique<VpTree>(oracle));
+    auto tree = std::make_unique<CoverTree>(oracle);
+    for (ObjectId id = 0; id < oracle.size(); ++id) {
+      SUBSEQ_RETURN_NOT_OK(tree->Insert(id));
+    }
+    return std::unique_ptr<RangeIndex>(std::move(tree));
   };
 }
 
@@ -180,77 +192,6 @@ void ExpectBatchMatchesSingleQueries(
   }
 }
 
-/// k-NN distances equal the monolithic scan's at every k, ascending. The
-/// distance multiset is optimal; id choice among exact ties is
-/// index-dependent (the RangeIndex contract).
-void ExpectNearestNeighborsExact(const PartitionedIndex& index,
-                                 const ScalarPointOracle& oracle) {
-  const LinearScan monolithic(oracle.size());
-  for (const double center : {1.0, 50.0, 99.0}) {
-    const QueryDistanceFn query = oracle.QueryFrom(center);
-    for (const int32_t k : {1, 5, 13}) {
-      const auto expected = monolithic.NearestNeighbors(query, k, nullptr);
-      QueryStats stats;
-      const auto merged = index.NearestNeighbors(query, k, &stats);
-      ASSERT_EQ(merged.size(), expected.size());
-      EXPECT_EQ(stats.result_count, static_cast<int64_t>(merged.size()));
-      for (size_t i = 0; i < merged.size(); ++i) {
-        EXPECT_DOUBLE_EQ(merged[i].distance, expected[i].distance);
-      }
-      for (size_t i = 1; i < merged.size(); ++i) {
-        EXPECT_LE(merged[i - 1].distance, merged[i].distance);
-      }
-    }
-  }
-}
-
-/// Space stats sum over parts, and build work is the layout's own
-/// distances (k-center selection; none for contiguous parts) plus the
-/// parts' inner builds.
-void ExpectAggregateSpaceAndBuildStats(const PartitionedIndex& index,
-                                       const ScalarPointOracle& oracle) {
-  const SpaceStats space = index.ComputeSpaceStats();
-  EXPECT_EQ(space.num_objects, oracle.size());
-  int64_t nodes = 0;
-  int64_t inner_build = 0;
-  for (int32_t p = 0; p < index.num_parts(); ++p) {
-    nodes += index.part(p).ComputeSpaceStats().num_nodes;
-    inner_build += index.part(p).build_stats().distance_computations;
-  }
-  EXPECT_EQ(space.num_nodes, nodes);
-  EXPECT_EQ(index.build_stats().distance_computations,
-            index.layout().computations + inner_build);
-  EXPECT_GT(inner_build, 0);
-  // Routing is never free; a contiguous split costs nothing.
-  if (index.layout().kind == PartitionKind::kKCenter) {
-    EXPECT_GT(index.layout().computations, 0);
-  } else {
-    EXPECT_EQ(index.layout().computations, 0);
-  }
-}
-
-/// Parts are independent closed problems and k-center selection is a
-/// serial argmax over exact distances: the thread budget must not
-/// change what gets built.
-void ExpectParallelBuildMatchesSequential(PartitionKind kind, uint64_t seed) {
-  Rng rng(seed);
-  const ScalarPointOracle oracle(RandomSeries(&rng, 100, 0.0, 100.0));
-  const auto sequential = BuildPartitioned(oracle, ReferenceNetFactory(),
-                                           kind, 5, /*num_threads=*/1);
-  const auto parallel = BuildPartitioned(oracle, ReferenceNetFactory(),
-                                         kind, 5, /*num_threads=*/8);
-  ASSERT_EQ(parallel->num_parts(), sequential->num_parts());
-  EXPECT_EQ(parallel->layout().begins, sequential->layout().begins);
-  EXPECT_EQ(parallel->layout().members, sequential->layout().members);
-  EXPECT_EQ(parallel->layout().pivots, sequential->layout().pivots);
-  EXPECT_EQ(parallel->layout().radii, sequential->layout().radii);
-  EXPECT_EQ(sequential->build_stats().distance_computations,
-            parallel->build_stats().distance_computations);
-  const QueryDistanceFn query = oracle.QueryFrom(33.0);
-  EXPECT_EQ(sequential->RangeQuery(query, 7.0, nullptr),
-            parallel->RangeQuery(query, 7.0, nullptr));
-}
-
 /// Parts 1 and 2 fail to build: Build reports part 1's status, the
 /// first in part order, whatever order the pool ran them in.
 void ExpectFirstPartErrorWins(PartitionKind kind, uint64_t seed,
@@ -286,9 +227,7 @@ struct LayoutCase {
 };
 
 std::string LayoutCaseName(const LayoutCase& c) {
-  return std::string(c.kind == PartitionKind::kKCenter ? "kcenter"
-                                                       : "contiguous") +
-         "_n" + std::to_string(c.n);
+  return ::testing::PrintToString(c.kind) + "_n" + std::to_string(c.n);
 }
 
 void PrintTo(const LayoutCase& c, std::ostream* os) {
@@ -396,10 +335,6 @@ TEST_P(PartitionedIndexTest, BatchEqualsSingleQueriesWithExactRollup) {
                                   9.0);
 }
 
-TEST_P(PartitionedIndexTest, NearestNeighborsMatchMonolithic) {
-  ExpectNearestNeighborsExact(*Build(VpTreeFactory()), oracle_);
-}
-
 TEST_P(PartitionedIndexTest, SnapshotRoundTripIsByteIdentical) {
   const auto original = Build(LinearScanFactory());
   const std::string tag = LayoutCaseName(GetParam());
@@ -445,6 +380,121 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
+// The shared contract on larger catalogs: one case per check, one row per
+// layout. Each row keeps the seed, catalog size and part count of the
+// layout-specific case it replaces.
+
+class PartitionedLayoutTest
+    : public ::testing::TestWithParam<PartitionKind> {
+ protected:
+  /// This row's value of an input that differs between the layouts.
+  template <typename V>
+  static V Row(V contiguous, V kcenter) {
+    return GetParam() == PartitionKind::kKCenter ? kcenter : contiguous;
+  }
+
+  static std::unique_ptr<PartitionedIndex> Build(
+      const DistanceOracle& oracle, const PartIndexFactory& factory,
+      int32_t num_parts, int32_t num_threads = 1) {
+    return BuildPartitioned(oracle, factory, GetParam(), num_parts,
+                            num_threads);
+  }
+};
+
+TEST_P(PartitionedLayoutTest, RangeQueryEquivalentToMonolithicIndex) {
+  Rng rng(Row<uint64_t>(14, 34));
+  const ScalarPointOracle oracle(RandomSeries(&rng, 90, 0.0, 100.0));
+  const LinearScan monolithic(oracle.size());
+  const bool contiguous = GetParam() == PartitionKind::kContiguous;
+  for (const int32_t k :
+       Row<std::vector<int32_t>>({2, 4, 7}, {1, 4, 7})) {
+    const auto scan = Build(oracle, LinearScanFactory(), k);
+    const auto ct = Build(oracle, CoverTreeFactory(), k);
+    const auto rn = Build(oracle, ReferenceNetFactory(), k);
+    for (const double center : Row<std::vector<double>>(
+             {5.0, 37.5, 93.0}, {-3.0, 5.0, 37.5, 93.0, 140.0})) {
+      const QueryDistanceFn query = oracle.QueryFrom(center);
+      const auto expected =
+          Sorted(monolithic.RangeQuery(query, 8.0, nullptr));
+      const auto scanned = scan->RangeQuery(query, 8.0, nullptr);
+      // LinearScan shards emit ascending ids per shard; shard-order
+      // concatenation of contiguous ranges is the full ascending order —
+      // element-wise equal to the monolithic scan, not just set-equal.
+      EXPECT_EQ(contiguous ? scanned : Sorted(scanned), expected);
+      EXPECT_EQ(Sorted(ct->RangeQuery(query, 8.0, nullptr)), expected);
+      EXPECT_EQ(Sorted(rn->RangeQuery(query, 8.0, nullptr)), expected);
+    }
+  }
+}
+
+TEST_P(PartitionedLayoutTest, BatchMatchesSingleQueriesWithExactStatsRollup) {
+  Rng rng(Row<uint64_t>(15, 38));
+  const ScalarPointOracle oracle(RandomSeries(&rng, 120, 0.0, 100.0));
+  const auto index = Build(oracle, ReferenceNetFactory(), 5);
+  std::vector<QueryDistanceFn> queries;
+  for (int i = 0; i < 17; ++i) {
+    queries.push_back(oracle.QueryFrom(rng.NextDouble(0.0, 100.0)));
+  }
+  ExpectBatchMatchesSingleQueries(*index, queries, 6.0);
+}
+
+// Space stats sum over parts, and build work is the layout's own
+// distances (k-center selection; none for contiguous parts) plus the
+// parts' inner builds.
+TEST_P(PartitionedLayoutTest, AggregateSpaceAndBuildStats) {
+  Rng rng(Row<uint64_t>(18, 42));
+  const ScalarPointOracle oracle(RandomSeries(&rng, 70, 0.0, 100.0));
+  const auto index = Build(oracle, ReferenceNetFactory(), 4);
+  const SpaceStats space = index->ComputeSpaceStats();
+  EXPECT_EQ(space.num_objects, oracle.size());
+  int64_t nodes = 0;
+  int64_t inner_build = 0;
+  for (int32_t p = 0; p < index->num_parts(); ++p) {
+    nodes += index->part(p).ComputeSpaceStats().num_nodes;
+    inner_build += index->part(p).build_stats().distance_computations;
+  }
+  EXPECT_EQ(space.num_nodes, nodes);
+  EXPECT_EQ(index->build_stats().distance_computations,
+            index->layout().computations + inner_build);
+  EXPECT_GT(inner_build, 0);
+  // Routing is never free; a contiguous split costs nothing.
+  if (GetParam() == PartitionKind::kKCenter) {
+    EXPECT_GT(index->layout().computations, 0);
+  } else {
+    EXPECT_EQ(index->layout().computations, 0);
+  }
+}
+
+// Parts are independent closed problems and k-center selection is a
+// serial argmax over exact distances: the thread budget must not change
+// what gets built.
+TEST_P(PartitionedLayoutTest, ParallelBuildMatchesSequentialBuild) {
+  Rng rng(Row<uint64_t>(19, 41));
+  const ScalarPointOracle oracle(RandomSeries(&rng, 100, 0.0, 100.0));
+  const auto sequential =
+      Build(oracle, ReferenceNetFactory(), 5, /*num_threads=*/1);
+  const auto parallel =
+      Build(oracle, ReferenceNetFactory(), 5, /*num_threads=*/8);
+  ASSERT_EQ(parallel->num_parts(), sequential->num_parts());
+  EXPECT_EQ(parallel->layout().begins, sequential->layout().begins);
+  EXPECT_EQ(parallel->layout().members, sequential->layout().members);
+  EXPECT_EQ(parallel->layout().pivots, sequential->layout().pivots);
+  EXPECT_EQ(parallel->layout().radii, sequential->layout().radii);
+  EXPECT_EQ(sequential->build_stats().distance_computations,
+            parallel->build_stats().distance_computations);
+  const QueryDistanceFn query = oracle.QueryFrom(33.0);
+  EXPECT_EQ(sequential->RangeQuery(query, 7.0, nullptr),
+            parallel->RangeQuery(query, 7.0, nullptr));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Layouts, PartitionedLayoutTest,
+    ::testing::Values(PartitionKind::kContiguous, PartitionKind::kKCenter),
+    [](const ::testing::TestParamInfo<PartitionKind>& info) {
+      return ::testing::PrintToString(info.param);
+    });
+
+// ---------------------------------------------------------------------------
 // Contiguous layouts.
 
 TEST(ShardedIndexTest, PartitionsAreContiguousAndBalanced) {
@@ -479,39 +529,8 @@ TEST(ShardedIndexTest, ShardCountClampsToObjectCount) {
 TEST(ShardedIndexTest, NameReflectsShardCountAndInnerBackend) {
   Rng rng(13);
   const ScalarPointOracle oracle(RandomSeries(&rng, 12, 0.0, 100.0));
-  const auto sharded = BuildSharded(oracle, VpTreeFactory(), 3);
-  EXPECT_EQ(sharded->name(), "sharded[3]:vp-tree");
-}
-
-TEST(ShardedIndexTest, RangeQueryEquivalentToMonolithicIndex) {
-  Rng rng(14);
-  const ScalarPointOracle oracle(RandomSeries(&rng, 90, 0.0, 100.0));
-  const LinearScan monolithic(oracle.size());
-  for (const int32_t k : {2, 4, 7}) {
-    const auto rn = BuildSharded(oracle, ReferenceNetFactory(), k);
-    const auto scan = BuildSharded(oracle, LinearScanFactory(), k);
-    for (const double center : {5.0, 37.5, 93.0}) {
-      const QueryDistanceFn query = oracle.QueryFrom(center);
-      const auto expected = monolithic.RangeQuery(query, 8.0, nullptr);
-      // LinearScan shards emit ascending ids per shard; shard-order
-      // concatenation of contiguous ranges is the full ascending order —
-      // element-wise equal to the monolithic scan, not just set-equal.
-      EXPECT_EQ(scan->RangeQuery(query, 8.0, nullptr), expected);
-      EXPECT_EQ(Sorted(rn->RangeQuery(query, 8.0, nullptr)),
-                Sorted(expected));
-    }
-  }
-}
-
-TEST(ShardedIndexTest, BatchMatchesSingleQueriesWithExactStatsRollup) {
-  Rng rng(15);
-  const ScalarPointOracle oracle(RandomSeries(&rng, 120, 0.0, 100.0));
-  const auto sharded = BuildSharded(oracle, ReferenceNetFactory(), 5);
-  std::vector<QueryDistanceFn> queries;
-  for (int i = 0; i < 17; ++i) {
-    queries.push_back(oracle.QueryFrom(rng.NextDouble(0.0, 100.0)));
-  }
-  ExpectBatchMatchesSingleQueries(*sharded, queries, 6.0);
+  const auto sharded = BuildSharded(oracle, CoverTreeFactory(), 3);
+  EXPECT_EQ(sharded->name(), "sharded[3]:cover-tree");
 }
 
 TEST(ShardedIndexTest, ShardedLinearScanBillsExactlyLikeMonolithic) {
@@ -530,24 +549,6 @@ TEST(ShardedIndexTest, ShardedLinearScanBillsExactlyLikeMonolithic) {
   EXPECT_EQ(shard_stats.distance_computations,
             mono_stats.distance_computations);
   EXPECT_EQ(shard_stats.result_count, mono_stats.result_count);
-}
-
-TEST(ShardedIndexTest, NearestNeighborsExactAcrossShards) {
-  Rng rng(17);
-  const ScalarPointOracle oracle(RandomSeries(&rng, 80, 0.0, 100.0));
-  ExpectNearestNeighborsExact(*BuildSharded(oracle, VpTreeFactory(), 6),
-                              oracle);
-}
-
-TEST(ShardedIndexTest, AggregateSpaceAndBuildStats) {
-  Rng rng(18);
-  const ScalarPointOracle oracle(RandomSeries(&rng, 70, 0.0, 100.0));
-  ExpectAggregateSpaceAndBuildStats(
-      *BuildSharded(oracle, ReferenceNetFactory(), 4), oracle);
-}
-
-TEST(ShardedIndexTest, ParallelBuildMatchesSequentialBuild) {
-  ExpectParallelBuildMatchesSequential(PartitionKind::kContiguous, 19);
 }
 
 TEST(ShardedIndexTest, BuildFailurePropagatesFirstShardError) {
@@ -614,29 +615,10 @@ TEST(RoutedIndexTest, CellCountClampsToObjectCount) {
 TEST(RoutedIndexTest, NameReflectsCellCountAndInnerBackend) {
   Rng rng(33);
   const ScalarPointOracle oracle(RandomSeries(&rng, 24, 0.0, 100.0));
-  const auto routed = BuildRouted(oracle, VpTreeFactory(), 3);
+  const auto routed = BuildRouted(oracle, CoverTreeFactory(), 3);
   EXPECT_EQ(routed->name(), "routed[" +
                                 std::to_string(routed->num_parts()) +
-                                "]:vp-tree");
-}
-
-TEST(RoutedIndexTest, RangeQueryEquivalentToMonolithicIndex) {
-  Rng rng(34);
-  const ScalarPointOracle oracle(RandomSeries(&rng, 90, 0.0, 100.0));
-  const LinearScan monolithic(oracle.size());
-  for (const int32_t k : {1, 4, 7}) {
-    const auto scan = BuildRouted(oracle, LinearScanFactory(), k);
-    const auto vp = BuildRouted(oracle, VpTreeFactory(), k);
-    const auto rn = BuildRouted(oracle, ReferenceNetFactory(), k);
-    for (const double center : {-3.0, 5.0, 37.5, 93.0, 140.0}) {
-      const QueryDistanceFn query = oracle.QueryFrom(center);
-      const auto expected =
-          Sorted(monolithic.RangeQuery(query, 8.0, nullptr));
-      EXPECT_EQ(Sorted(scan->RangeQuery(query, 8.0, nullptr)), expected);
-      EXPECT_EQ(Sorted(vp->RangeQuery(query, 8.0, nullptr)), expected);
-      EXPECT_EQ(Sorted(rn->RangeQuery(query, 8.0, nullptr)), expected);
-    }
-  }
+                                "]:cover-tree");
 }
 
 TEST(RoutedIndexTest, NeverSkipsACellContainingATrueHit) {
@@ -646,7 +628,7 @@ TEST(RoutedIndexTest, NeverSkipsACellContainingATrueHit) {
   // true hit.
   Rng rng(35);
   const ScalarPointOracle oracle(RandomSeries(&rng, 150, 0.0, 100.0));
-  const auto routed = BuildRouted(oracle, VpTreeFactory(), 6);
+  const auto routed = BuildRouted(oracle, CoverTreeFactory(), 6);
   for (int trial = 0; trial < 200; ++trial) {
     const double q = rng.NextDouble(-20.0, 120.0);
     const double eps = rng.NextDouble(0.0, 15.0);
@@ -716,24 +698,6 @@ TEST(RoutedIndexTest, TightEpsilonSkipsCellsAndSavesComputations) {
             mono_stats.distance_computations);
 }
 
-TEST(RoutedIndexTest, BatchMatchesSingleQueriesWithExactStatsRollup) {
-  Rng rng(38);
-  const ScalarPointOracle oracle(RandomSeries(&rng, 120, 0.0, 100.0));
-  const auto routed = BuildRouted(oracle, ReferenceNetFactory(), 5);
-  std::vector<QueryDistanceFn> queries;
-  for (int i = 0; i < 17; ++i) {
-    queries.push_back(oracle.QueryFrom(rng.NextDouble(0.0, 100.0)));
-  }
-  ExpectBatchMatchesSingleQueries(*routed, queries, 6.0);
-}
-
-TEST(RoutedIndexTest, NearestNeighborsExactAcrossCells) {
-  Rng rng(39);
-  const ScalarPointOracle oracle(RandomSeries(&rng, 80, 0.0, 100.0));
-  ExpectNearestNeighborsExact(*BuildRouted(oracle, VpTreeFactory(), 6),
-                              oracle);
-}
-
 TEST(RoutedIndexTest, RebalancingSplitsOversizedCell) {
   // 97 points in a tight cluster plus 3 far outliers: farthest-point
   // pivots land on the outliers, leaving the cluster as one cell of 97
@@ -771,17 +735,6 @@ TEST(RoutedIndexTest, DuplicateHeavyCatalogStopsEarly) {
             20u);
   EXPECT_TRUE(
       routed->RangeQuery(oracle.QueryFrom(30.0), 0.5, nullptr).empty());
-}
-
-TEST(RoutedIndexTest, ParallelBuildMatchesSequentialBuild) {
-  ExpectParallelBuildMatchesSequential(PartitionKind::kKCenter, 41);
-}
-
-TEST(RoutedIndexTest, AggregateSpaceAndBuildStats) {
-  Rng rng(42);
-  const ScalarPointOracle oracle(RandomSeries(&rng, 70, 0.0, 100.0));
-  ExpectAggregateSpaceAndBuildStats(
-      *BuildRouted(oracle, ReferenceNetFactory(), 4), oracle);
 }
 
 TEST(RoutedIndexTest, BuildFailurePropagatesFirstCellError) {
@@ -890,10 +843,6 @@ class MisbilledScan final : public RangeIndex {
     return results;
   }
 
-  std::vector<Neighbor> NearestNeighbors(const QueryDistanceFn&, int32_t,
-                                         QueryStats*) const override {
-    return {};
-  }
   SpaceStats ComputeSpaceStats() const override { return {}; }
   BuildStats build_stats() const override { return {}; }
 

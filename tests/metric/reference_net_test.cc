@@ -9,13 +9,15 @@
 #include <vector>
 
 #include "subseq/core/rng.h"
-#include "subseq/metric/counting_oracle.h"
 #include "subseq/metric/linear_scan.h"
+#include "testing/counting_oracle.h"
 #include "testing/helpers.h"
 
 namespace subseq {
 namespace {
 
+using ::subseq::testing::CountingOracle;
+using ::subseq::testing::CountingQueryFn;
 using ::subseq::testing::PlanePointOracle;
 using ::subseq::testing::ScalarPointOracle;
 

@@ -676,7 +676,7 @@ TEST(MatchServerTest, UnknownIndexKindFailsTheRequestOnly) {
   MatchRequest<char> bad;
   bad.query = ShortQuery(db);
   bad.epsilon = 1.0;
-  bad.index_kind = IndexKind::kVpTree;  // not configured
+  bad.index_kind = IndexKind::kMvIndex;  // not configured
   MatchRequest<char> good = bad;
   good.index_kind = std::nullopt;
 

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "subseq/data/protein_gen.h"
@@ -36,14 +37,13 @@ std::vector<char> ReadFileBytes(const std::string& path) {
 
 const std::vector<IndexKind> kAllKinds = {
     IndexKind::kReferenceNet, IndexKind::kCoverTree, IndexKind::kMvIndex,
-    IndexKind::kVpTree, IndexKind::kLinearScan};
+    IndexKind::kLinearScan};
 
 const char* KindName(IndexKind kind) {
   switch (kind) {
     case IndexKind::kReferenceNet: return "rn";
     case IndexKind::kCoverTree: return "ct";
     case IndexKind::kMvIndex: return "mv";
-    case IndexKind::kVpTree: return "vp";
     case IndexKind::kLinearScan: return "ls";
   }
   return "??";
@@ -270,11 +270,23 @@ TEST_F(SnapshotRoundtripTest, RejectsMismatchedLoads) {
             StatusCode::kInvalidArgument);
 
   // A kind the snapshot does not hold.
-  other = SmallOptions(IndexKind::kVpTree, 1);
+  other = SmallOptions(IndexKind::kMvIndex, 1);
   EXPECT_EQ(SubsequenceMatcher<char>::LoadIndex(fx.db, fx.dist, other, path)
                 .status()
                 .code(),
             StatusCode::kNotFound);
+
+  // A kind value no index has (3 was the retired vp-tree's): Build and
+  // LoadIndex refuse the options by value, not as a kind the file lacks.
+  other = SmallOptions(static_cast<IndexKind>(3), 1);
+  for (const Status& status :
+       {SubsequenceMatcher<char>::Build(fx.db, fx.dist, other).status(),
+        SubsequenceMatcher<char>::LoadIndex(fx.db, fx.dist, other, path)
+            .status()}) {
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find("index_kind 3"), std::string::npos)
+        << status.message();
+  }
 
   // A different shard count than the snapshot records.
   other = SmallOptions(IndexKind::kReferenceNet, 4);
@@ -301,12 +313,40 @@ TEST_F(SnapshotRoundtripTest, RejectsMismatchedLoads) {
   std::remove(path.c_str());
 }
 
+// idx.<kind>.top stores the IndexKind value, so the values are part of
+// the format: each kind still writes the value it always wrote.
+TEST_F(SnapshotRoundtripTest, IndexBlocksRecordStableKindValues) {
+  const ProteinFixture fx;
+  const std::pair<IndexKind, int32_t> expected[] = {
+      {IndexKind::kReferenceNet, 0},
+      {IndexKind::kCoverTree, 1},
+      {IndexKind::kMvIndex, 2},
+      {IndexKind::kLinearScan, 4}};
+  for (const auto& [kind, value] : expected) {
+    SCOPED_TRACE(KindName(kind));
+    auto built =
+        SubsequenceMatcher<char>::Build(fx.db, fx.dist, SmallOptions(kind, 1));
+    ASSERT_TRUE(built.ok()) << built.status().message();
+    const std::string path = TempPath(std::string("rt_kind_") +
+                                      KindName(kind) + ".snap");
+    ASSERT_TRUE(built.value()->SaveIndex(path).ok());
+    auto file = SnapshotFile::Open(path, SnapshotLoadMode::kEager);
+    ASSERT_TRUE(file.ok()) << file.status().message();
+    auto top = PodSectionView<int32_t>(
+        *file.value(), std::string("idx.") + KindName(kind) + ".top");
+    ASSERT_TRUE(top.ok()) << top.status().message();
+    ASSERT_FALSE(top.value().empty());
+    EXPECT_EQ(top.value()[0], value);
+    std::remove(path.c_str());
+  }
+}
+
 // The serving layer: a MatchServer started from a snapshot answers
 // bit-identically to one that rebuilt its indexes, across every
 // configured kind in one shared file.
 // The acceptance-criteria check: a server booted from an mmap snapshot
 // answers bit-identically (matches AND stats) to one started from a
-// fresh in-RAM build — for ALL FIVE kinds, monolithic and sharded.
+// fresh in-RAM build — for all four kinds, monolithic and sharded.
 TEST_F(SnapshotRoundtripTest, ServerFromSnapshotIsBitIdentical) {
   const ProteinFixture fx;
   for (const int32_t shards : {1, 4}) {

@@ -1,18 +1,19 @@
 // CountingOracle: decorates a DistanceOracle / QueryDistanceFn with a
 // distance-computation counter. Indexes count their own query-side calls;
-// this decorator is used to account for *build-side* computations and in
-// tests to assert pruning behaviour.
+// the tests use this decorator to count build-side computations and to
+// assert pruning behaviour.
 
-#ifndef SUBSEQ_METRIC_COUNTING_ORACLE_H_
-#define SUBSEQ_METRIC_COUNTING_ORACLE_H_
+#ifndef SUBSEQ_TESTS_TESTING_COUNTING_ORACLE_H_
+#define SUBSEQ_TESTS_TESTING_COUNTING_ORACLE_H_
 
 #include <atomic>
 #include <cstdint>
+#include <utility>
 
 #include "subseq/exec/stats_sink.h"
 #include "subseq/metric/oracle.h"
 
-namespace subseq {
+namespace subseq::testing {
 
 /// Wraps an oracle and counts every Distance() call. Safe to share across
 /// the threads of a parallel build: the counter is atomic (relaxed
@@ -47,12 +48,22 @@ class CountingOracle final : public DistanceOracle {
 /// counter (the function object is copyable; the counter is shared).
 /// Single-threaded use only — for concurrent callers use the StatsSink
 /// overload below.
-QueryDistanceFn CountingQueryFn(QueryDistanceFn fn, int64_t* counter);
+inline QueryDistanceFn CountingQueryFn(QueryDistanceFn fn, int64_t* counter) {
+  return [fn = std::move(fn), counter](ObjectId id) {
+    ++*counter;
+    return fn(id);
+  };
+}
 
 /// As above, but counts through a thread-safe sink; the returned function
 /// may be invoked from any number of threads concurrently.
-QueryDistanceFn CountingQueryFn(QueryDistanceFn fn, StatsSink* sink);
+inline QueryDistanceFn CountingQueryFn(QueryDistanceFn fn, StatsSink* sink) {
+  return [fn = std::move(fn), sink](ObjectId id) {
+    sink->AddDistanceComputations(1);
+    return fn(id);
+  };
+}
 
-}  // namespace subseq
+}  // namespace subseq::testing
 
-#endif  // SUBSEQ_METRIC_COUNTING_ORACLE_H_
+#endif  // SUBSEQ_TESTS_TESTING_COUNTING_ORACLE_H_
