@@ -90,9 +90,9 @@ std::vector<std::vector<T>> MakeQueries(const SequenceDatabase<T>& db,
 
 std::vector<std::vector<char>> MakeProteinQueries(
     const SequenceDatabase<char>& db, const WindowCatalog& catalog,
-    int32_t count, uint64_t seed) {
+    int32_t count, uint64_t seed, int32_t length) {
   return MakeQueries<char>(
-      db, catalog, count, seed, kWindowLength,
+      db, catalog, count, seed, length,
       [](Rng* rng, int32_t length) {
         ProteinGenOptions options;
         options.seed = rng->NextU64();

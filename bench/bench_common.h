@@ -62,7 +62,7 @@ SequenceDatabase<Point2d> MakeTrajDb(int32_t num_windows, uint64_t seed);
 /// half are fresh draws from the generator distribution.
 std::vector<std::vector<char>> MakeProteinQueries(
     const SequenceDatabase<char>& db, const WindowCatalog& catalog,
-    int32_t count, uint64_t seed);
+    int32_t count, uint64_t seed, int32_t length = kWindowLength);
 std::vector<std::vector<double>> MakeSongQueries(
     const SequenceDatabase<double>& db, const WindowCatalog& catalog,
     int32_t count, uint64_t seed, int32_t length = kWindowLength);

@@ -700,6 +700,8 @@ int Run() {
          {"erp2d_plain_ms", erp2d_lengths.plain_ms},
          {"erp2d_cascade_ms", erp2d_lengths.cascade_ms}}});
 
+    constexpr double kTrajEpsilon = 8.0;
+
     // ------------------------------------ the reference-net node gate
     // The TRAJ segments of the row above (2-D ERP, every length
     // l - lambda0 .. l + lambda0, the same epsilon) answered by a
@@ -713,7 +715,6 @@ int Run() {
     {
       const WindowOracle<Point2d> oracle(traj_db, traj_catalog, erp2d);
       const ReferenceNet net = ReferenceNet::BuildAll(oracle);
-      constexpr double kTrajEpsilon = 8.0;
       StatsSink plain_sink;
       StatsSink gated_sink;
       double plain_ms = 0.0;
@@ -760,6 +761,91 @@ int Run() {
           {{"refnet_gate_rate", refnet_gate_rate},
            {"refnet_plain_ms", plain_ms},
            {"refnet_gated_ms", gated_ms}}});
+    }
+
+    // ------------------------------------------------ the prefix memo
+    // Step 4 with one DP per (segment start, window): a reference-net
+    // matcher at lambda0 = 2 over this TRAJ catalog (2-D ERP, the node
+    // gate on) and over the PROTEINS catalog (Levenshtein), each fed the
+    // segments of mutated query cuts. BatchFilterWindows walks each
+    // start's 2 * lambda0 + 1 segments as one unit that answers their node
+    // calls from one ComputePrefixes column per window; its hits and
+    // per-segment billing are CHECKed equal to a direct, memo-free call
+    // of the same index on the same batch. prefix_memo_rate — billed node
+    // calls the memo answered without a DP, over all billed node calls —
+    // is a deterministic count ratio; the two timings, at one thread, are
+    // ungated.
+    {
+      struct MemoRow {
+        double rate = 0.0;
+        double direct_ms = 0.0;
+        double memo_ms = 0.0;
+      };
+      const auto memo_row = [&]<typename T>(
+                                const SequenceDatabase<T>& memo_db,
+                                const SequenceDistance<T>& memo_dist,
+                                const std::vector<std::vector<T>>& cuts,
+                                double memo_epsilon) {
+        MatcherOptions options;
+        options.lambda = 2 * kWindowLength;
+        options.lambda0 = kLambda0;
+        options.index_kind = IndexKind::kReferenceNet;
+        const auto matcher =
+            SubsequenceMatcher<T>::Build(memo_db, memo_dist, options)
+                .ValueOrDie();
+        const ExecContext one_thread = SequentialExec();
+        StatsSink direct_sink;
+        StatsSink memo_sink;
+        MemoRow row;
+        for (const std::vector<T>& cut : cuts) {
+          const SegmentQueryBatch batch =
+              matcher->MakeSegmentQueries(std::span<const T>(cut));
+          std::vector<QueryStats> direct_split(batch.queries.size());
+          std::vector<QueryStats> memo_split(batch.queries.size());
+          auto t = std::chrono::steady_clock::now();
+          const auto want = matcher->index().BatchRangeQuery(
+              batch.queries, memo_epsilon, one_thread, &direct_sink,
+              direct_split.data());
+          row.direct_ms += MillisSince(t);
+          t = std::chrono::steady_clock::now();
+          const auto got = matcher->BatchFilterWindows(
+              batch.queries, memo_epsilon, one_thread, &memo_sink,
+              memo_split.data());
+          row.memo_ms += MillisSince(t);
+          SUBSEQ_CHECK(got == want);
+          for (size_t s = 0; s < batch.queries.size(); ++s) {
+            SUBSEQ_CHECK(memo_split[s].distance_computations ==
+                         direct_split[s].distance_computations);
+            SUBSEQ_CHECK(memo_split[s].lower_bound_pruned ==
+                         direct_split[s].lower_bound_pruned);
+          }
+        }
+        SUBSEQ_CHECK(direct_sink.prefix_memo_hits() == 0);
+        row.rate = static_cast<double>(memo_sink.prefix_memo_hits()) /
+                   static_cast<double>(memo_sink.distance_computations());
+        SUBSEQ_CHECK(row.rate > 0.0);
+        return row;
+      };
+      const int32_t cut_length = 2 * kWindowLength + 4;
+      const MemoRow traj = memo_row(
+          traj_db, erp2d,
+          MakeTrajQueries(traj_db, traj_catalog, num_queries, 12, cut_length),
+          kTrajEpsilon);
+      const MemoRow proteins = memo_row(
+          db, dist,
+          MakeProteinQueries(db, catalog, num_queries, 13, cut_length),
+          epsilon);
+      std::printf("%-18s %13.3f %14.3f %12.1f %12.1f %12.1f %12.1f\n",
+                  "prefix_memo", traj.rate, proteins.rate, traj.direct_ms,
+                  traj.memo_ms, proteins.direct_ms, proteins.memo_ms);
+      records.push_back(BenchRecord{
+          "prefix_memo",
+          {{"traj_prefix_memo_rate", traj.rate},
+           {"proteins_prefix_memo_rate", proteins.rate},
+           {"traj_prefix_direct_ms", traj.direct_ms},
+           {"traj_prefix_memo_ms", traj.memo_ms},
+           {"proteins_prefix_direct_ms", proteins.direct_ms},
+           {"proteins_prefix_memo_ms", proteins.memo_ms}}});
     }
 
     // ------------------------------------------- anti-diagonal DP

@@ -72,6 +72,26 @@ class SequenceDistance {
     for (size_t k = 0; k < bs.size(); ++k) out[k] = Compute(a, bs[k]);
   }
 
+  /// Prefix distances: out[i] = Compute(a.first(min_len + i), b) for
+  /// every i in [0, |a| - min_len], so `out` must hold
+  /// |a| - min_len + 1 values; requires min_len <= |a|. The contract is
+  /// BIT-IDENTITY with Compute, +inf included. Step 4 answers every
+  /// segment length cut at one query start from one such call per
+  /// touched window (SubsequenceMatcher::BatchFilterWindows). The
+  /// default is the per-length loop; a tree-indexed distance without an
+  /// override therefore pays 2 * lambda0 + 1 Compute calls per touched
+  /// (start, window), so every DP distance a tree serves overrides it
+  /// with one DP of the longest prefix, reading each shorter prefix's
+  /// distance off its row (ERP, discrete Frechet, Levenshtein, weighted
+  /// edit). Rigid distances keep the default: their off-length calls
+  /// return at once.
+  virtual void ComputePrefixes(std::span<const T> a, std::span<const T> b,
+                               size_t min_len, double* out) const {
+    for (size_t len = min_len; len <= a.size(); ++len) {
+      out[len - min_len] = Compute(a.first(len), b);
+    }
+  }
+
   /// Short stable identifier ("erp", "dtw", "levenshtein", ...).
   virtual std::string_view name() const = 0;
 

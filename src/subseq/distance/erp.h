@@ -29,6 +29,12 @@ class ErpDistance final : public SequenceDistance<T> {
   double ComputeBounded(std::span<const T> a, std::span<const T> b,
                         double upper_bound) const override;
 
+  /// One row DP of a against b, every prefix read off its row; a pair
+  /// whose longest prefix Compute would hand to the wavefront kernel takes
+  /// the per-length default instead.
+  void ComputePrefixes(std::span<const T> a, std::span<const T> b,
+                       size_t min_len, double* out) const override;
+
   /// Computes the distance together with an optimal alignment; kGapA /
   /// kGapB couplings carge the ground distance of the skipped element to
   /// the gap element.

@@ -8,6 +8,50 @@
 
 namespace subseq {
 
+namespace {
+
+// The row DP behind ComputeBounded and ComputePrefixes over the n x m
+// grid (n, m >= 1): D(i,j) = max(ground(i,j),
+//   min(D(i-1,j-1), D(i-1,j), D(i,j-1))).
+// Rows run over a, so after row i the last column holds the distance of
+// a.first(i + 1) to b; when `prefixes` is non-null, prefixes[len -
+// min_len] receives it for every non-empty prefix length len >= min_len
+// (the empty prefix has no row). Cost rows and the row combine run
+// through the dispatched kernels (bit-identical at every level). Returns
+// +inf once a row minimum exceeds upper_bound, else the distance of the
+// whole of a.
+template <typename T, typename Ground>
+double FrechetRows(std::span<const T> a, std::span<const T> b,
+                   double upper_bound, size_t min_len, double* prefixes) {
+  const size_t n = a.size();
+  const size_t m = b.size();
+  const simd::Kernels& kernels = simd::GetKernels();
+  std::vector<double> prev(m, 0.0);
+  std::vector<double> curr(m, 0.0);
+  std::vector<double> cost(m, 0.0);
+  simd::CostRowFrom<T, Ground>(kernels, a[0], b.data(), cost.data(), m);
+  prev[0] = cost[0];
+  for (size_t j = 1; j < m; ++j) {
+    prev[j] = std::max(prev[j - 1], cost[j]);
+  }
+  if (prefixes != nullptr && min_len <= 1) prefixes[1 - min_len] = prev[m - 1];
+  for (size_t i = 1; i < n; ++i) {
+    simd::CostRowFrom<T, Ground>(kernels, a[i], b.data(), cost.data(), m);
+    const double row_min = kernels.frechet_combine_row(
+        prev.data(), curr.data(), cost.data(), m);
+    // D values are non-decreasing along any remaining path (max-compose),
+    // so the row minimum lower-bounds the final value.
+    if (row_min > upper_bound) return kInfiniteDistance;
+    std::swap(prev, curr);
+    if (prefixes != nullptr && i + 1 >= min_len) {
+      prefixes[i + 1 - min_len] = prev[m - 1];
+    }
+  }
+  return prev[m - 1];
+}
+
+}  // namespace
+
 template <typename T, typename Ground>
 double FrechetDistance<T, Ground>::Compute(std::span<const T> a,
                                            std::span<const T> b) const {
@@ -22,30 +66,21 @@ double FrechetDistance<T, Ground>::ComputeBounded(std::span<const T> a,
   const size_t m = b.size();
   if (n == 0 && m == 0) return 0.0;
   if (n == 0 || m == 0) return kInfiniteDistance;
+  return FrechetRows<T, Ground>(a, b, upper_bound, 0, nullptr);
+}
 
-  // DP over the n x m grid: D(i,j) = max(ground(i,j),
-  //   min(D(i-1,j-1), D(i-1,j), D(i,j-1))).
-  // Cost rows and the row combine run through the dispatched kernels
-  // (bit-identical at every level).
-  const simd::Kernels& kernels = simd::GetKernels();
-  std::vector<double> prev(m, 0.0);
-  std::vector<double> curr(m, 0.0);
-  std::vector<double> cost(m, 0.0);
-  simd::CostRowFrom<T, Ground>(kernels, a[0], b.data(), cost.data(), m);
-  prev[0] = cost[0];
-  for (size_t j = 1; j < m; ++j) {
-    prev[j] = std::max(prev[j - 1], cost[j]);
+template <typename T, typename Ground>
+void FrechetDistance<T, Ground>::ComputePrefixes(std::span<const T> a,
+                                                 std::span<const T> b,
+                                                 size_t min_len,
+                                                 double* out) const {
+  // The empty prefix (and any empty operand) has no row.
+  if (a.empty() || b.empty()) {
+    SequenceDistance<T>::ComputePrefixes(a, b, min_len, out);
+    return;
   }
-  for (size_t i = 1; i < n; ++i) {
-    simd::CostRowFrom<T, Ground>(kernels, a[i], b.data(), cost.data(), m);
-    const double row_min = kernels.frechet_combine_row(
-        prev.data(), curr.data(), cost.data(), m);
-    // D values are non-decreasing along any remaining path (max-compose),
-    // so the row minimum lower-bounds the final value.
-    if (row_min > upper_bound) return kInfiniteDistance;
-    std::swap(prev, curr);
-  }
-  return prev[m - 1];
+  if (min_len == 0) out[0] = Compute(a.first(0), b);
+  FrechetRows<T, Ground>(a, b, kInfiniteDistance, min_len, out);
 }
 
 template <typename T, typename Ground>

@@ -30,6 +30,10 @@ class FrechetDistance final : public SequenceDistance<T> {
   double ComputeBounded(std::span<const T> a, std::span<const T> b,
                         double upper_bound) const override;
 
+  /// One row DP of a against b, every prefix read off its row.
+  void ComputePrefixes(std::span<const T> a, std::span<const T> b,
+                       size_t min_len, double* out) const override;
+
   /// Computes the distance together with an optimal coupling sequence.
   Alignment ComputeWithPath(std::span<const T> a, std::span<const T> b) const;
 

@@ -17,12 +17,15 @@ constexpr size_t kBitParallelMaxPattern = 64;
 // Myers' bit-vector edit distance (JACM 1999) in Hyyro's global form
 // (2003): one word holds a whole DP column, bit i of Pv / Mv meaning
 // D[i+1][j] - D[i][j] = +1 / -1, so a column costs a few word operations
-// instead of m cells. The result is the DP's integer distance, hence the
-// same double bit for bit. Requires 1 <= pattern.size() <=
-// min(64, text.size()) and text.size() - pattern.size() <= upper_bound
-// (or a NaN bound).
+// instead of m cells. The score after text column j is the DP's integer
+// distance of the pattern to text.first(j), hence the same double bit
+// for bit; when `prefixes` is non-null, prefixes[j - min_len] receives
+// it for every j >= min_len. Requires 1 <= pattern.size() <= 64, and
+// either a bound that never cuts (upper_bound >= text.size(), or NaN) or
+// text.size() - pattern.size() <= upper_bound.
 double BitParallelBounded(std::span<const char> pattern,
-                          std::span<const char> text, double upper_bound) {
+                          std::span<const char> text, double upper_bound,
+                          size_t min_len = 0, double* prefixes = nullptr) {
   const size_t m = pattern.size();
   const size_t n = text.size();
   // Match masks: peq[c] has bit i set iff pattern[i] == c. Only the
@@ -49,6 +52,9 @@ double BitParallelBounded(std::span<const char> pattern,
   uint64_t pv = ~uint64_t{0};
   uint64_t mv = 0;
   int64_t score = static_cast<int64_t>(m);
+  if (prefixes != nullptr && min_len == 0) {
+    prefixes[0] = static_cast<double>(score);
+  }
   for (size_t j = 0; j < n; ++j) {
     const uint64_t eq = peq[static_cast<unsigned char>(text[j])];
     const uint64_t xv = eq | mv;
@@ -59,6 +65,9 @@ double BitParallelBounded(std::span<const char> pattern,
              static_cast<int64_t>((mh & last) != 0);
     // score - (n - (j + 1)) > floor(upper_bound).
     if (score + static_cast<int64_t>(j + 1) > cut) return kInfiniteDistance;
+    if (prefixes != nullptr && j + 1 >= min_len) {
+      prefixes[j + 1 - min_len] = static_cast<double>(score);
+    }
     // Row 0 is D[0][j] = j: its horizontal delta is always +1.
     ph = (ph << 1) | 1;
     mh <<= 1;
@@ -66,6 +75,38 @@ double BitParallelBounded(std::span<const char> pattern,
     mv = ph & xv;
   }
   return static_cast<double>(score);
+}
+
+// The row DP behind ComputeBounded and ComputePrefixes: rows run over a,
+// so after row i the last column holds the distance of a.first(i) to b;
+// when `prefixes` is non-null, prefixes[i - min_len] receives it for
+// every i >= min_len. Returns +inf once a row minimum exceeds
+// upper_bound, else the distance of the whole of a.
+template <typename T>
+double LevenshteinRows(std::span<const T> a, std::span<const T> b,
+                       double upper_bound, size_t min_len,
+                       double* prefixes) {
+  const size_t n = a.size();
+  const size_t m = b.size();
+  std::vector<double> prev(m + 1, 0.0);
+  std::vector<double> curr(m + 1, 0.0);
+  for (size_t j = 0; j <= m; ++j) prev[j] = static_cast<double>(j);
+  if (prefixes != nullptr && min_len == 0) prefixes[0] = prev[m];
+  for (size_t i = 1; i <= n; ++i) {
+    curr[0] = static_cast<double>(i);
+    double row_min = curr[0];
+    for (size_t j = 1; j <= m; ++j) {
+      const double subst_cost = (a[i - 1] == b[j - 1]) ? 0.0 : 1.0;
+      curr[j] = std::min({prev[j - 1] + subst_cost,  // match / substitute
+                          prev[j] + 1.0,             // delete from a
+                          curr[j - 1] + 1.0});       // insert from b
+      row_min = std::min(row_min, curr[j]);
+    }
+    if (row_min > upper_bound) return kInfiniteDistance;
+    std::swap(prev, curr);
+    if (prefixes != nullptr && i >= min_len) prefixes[i - min_len] = prev[m];
+  }
+  return prev[m];
 }
 
 }  // namespace
@@ -96,23 +137,25 @@ double LevenshteinDistance<T>::ComputeBounded(std::span<const T> a,
     }
   }
 
-  std::vector<double> prev(m + 1, 0.0);
-  std::vector<double> curr(m + 1, 0.0);
-  for (size_t j = 0; j <= m; ++j) prev[j] = static_cast<double>(j);
-  for (size_t i = 1; i <= n; ++i) {
-    curr[0] = static_cast<double>(i);
-    double row_min = curr[0];
-    for (size_t j = 1; j <= m; ++j) {
-      const double subst_cost = (a[i - 1] == b[j - 1]) ? 0.0 : 1.0;
-      curr[j] = std::min({prev[j - 1] + subst_cost,  // match / substitute
-                          prev[j] + 1.0,             // delete from a
-                          curr[j - 1] + 1.0});       // insert from b
-      row_min = std::min(row_min, curr[j]);
+  return LevenshteinRows(a, b, upper_bound, 0, nullptr);
+}
+
+template <typename T>
+void LevenshteinDistance<T>::ComputePrefixes(std::span<const T> a,
+                                             std::span<const T> b,
+                                             size_t min_len,
+                                             double* out) const {
+  if constexpr (std::is_same_v<T, char>) {
+    // The window is the pattern and the segment the text: the score
+    // after each text column is one prefix's distance.
+    if (!b.empty() && b.size() <= kBitParallelMaxPattern) {
+      BitParallelBounded(b, a, kInfiniteDistance, min_len, out);
+      return;
     }
-    if (row_min > upper_bound) return kInfiniteDistance;
-    std::swap(prev, curr);
   }
-  return prev[m];
+  // Integer distances: the DP's rows equal what Compute returns through
+  // either path.
+  LevenshteinRows(a, b, kInfiniteDistance, min_len, out);
 }
 
 template <typename T>

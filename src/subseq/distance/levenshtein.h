@@ -31,6 +31,12 @@ class LevenshteinDistance final : public SequenceDistance<T> {
   double ComputeBounded(std::span<const T> a, std::span<const T> b,
                         double upper_bound) const override;
 
+  /// The `char` instance with 1 <= |b| <= 64 runs Myers' kernel with b as
+  /// the pattern and reads each prefix's score after its text column;
+  /// everything else runs one row DP and reads each prefix off its row.
+  void ComputePrefixes(std::span<const T> a, std::span<const T> b,
+                       size_t min_len, double* out) const override;
+
   /// Computes the distance together with an optimal edit script
   /// (kMatch couplings carry cost 0 or 1 for substitutions; kGapA / kGapB
   /// are deletions / insertions with cost 1).

@@ -153,6 +153,19 @@ double WeightedEditDistance::Compute(std::span<const char> a,
 double WeightedEditDistance::ComputeBounded(std::span<const char> a,
                                             std::span<const char> b,
                                             double upper_bound) const {
+  return Rows(a, b, upper_bound, 0, nullptr);
+}
+
+void WeightedEditDistance::ComputePrefixes(std::span<const char> a,
+                                           std::span<const char> b,
+                                           size_t min_len,
+                                           double* out) const {
+  Rows(a, b, kInfiniteDistance, min_len, out);
+}
+
+double WeightedEditDistance::Rows(std::span<const char> a,
+                                  std::span<const char> b, double upper_bound,
+                                  size_t min_len, double* prefixes) const {
   const size_t n = a.size();
   const size_t m = b.size();
   // Resolve b's symbol indices once; per row, the substitution and gap
@@ -174,6 +187,7 @@ double WeightedEditDistance::ComputeBounded(std::span<const char> a,
   for (size_t j = 1; j <= m; ++j) {
     prev[j] = prev[j - 1] + gap_b[j];
   }
+  if (prefixes != nullptr && min_len == 0) prefixes[0] = prev[m];
   for (size_t i = 1; i <= n; ++i) {
     const int16_t ia = model_.IndexOf(a[i - 1]);
     SUBSEQ_DCHECK(ia >= 0);
@@ -184,6 +198,7 @@ double WeightedEditDistance::ComputeBounded(std::span<const char> a,
         prev.data(), curr.data(), sub.data(), gap_a, gap_b.data(), m);
     if (row_min > upper_bound) return kInfiniteDistance;
     std::swap(prev, curr);
+    if (prefixes != nullptr && i >= min_len) prefixes[i - min_len] = prev[m];
   }
   return prev[m];
 }

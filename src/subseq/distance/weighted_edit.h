@@ -86,6 +86,10 @@ class WeightedEditDistance final : public SequenceDistance<char> {
   double ComputeBounded(std::span<const char> a, std::span<const char> b,
                         double upper_bound) const override;
 
+  /// One row DP of a against b, every prefix read off its row.
+  void ComputePrefixes(std::span<const char> a, std::span<const char> b,
+                       size_t min_len, double* out) const override;
+
   /// Distance plus an optimal weighted edit script.
   Alignment ComputeWithPath(std::span<const char> a,
                             std::span<const char> b) const;
@@ -97,6 +101,14 @@ class WeightedEditDistance final : public SequenceDistance<char> {
   const SubstitutionCostModel& model() const { return model_; }
 
  private:
+  // The row DP behind ComputeBounded and ComputePrefixes: rows run over
+  // a, so after row i the last column holds the distance of a.first(i)
+  // to b; when `prefixes` is non-null, prefixes[i - min_len] receives it
+  // for every i >= min_len. Returns +inf once a row minimum exceeds
+  // upper_bound, else the distance of the whole of a.
+  double Rows(std::span<const char> a, std::span<const char> b,
+              double upper_bound, size_t min_len, double* prefixes) const;
+
   SubstitutionCostModel model_;
 };
 

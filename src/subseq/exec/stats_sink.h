@@ -70,6 +70,11 @@ class StatsSink {
   void AddTombstonesMasked(int64_t n) {
     tombstones_masked_.fetch_add(n, std::memory_order_relaxed);
   }
+  /// Billed node calls step 4's per-start prefix memo answered without a
+  /// DP (see QueryStats::prefix_memo_hits).
+  void AddPrefixMemoHits(int64_t n) {
+    prefix_memo_hits_.fetch_add(n, std::memory_order_relaxed);
+  }
   /// Adds every counter of `stats` (result_count lands in results()).
   /// Defined next to QueryStats::operator+= (metric/range_index.cc):
   /// the two are the only places that list the counters for a roll-up.
@@ -105,6 +110,9 @@ class StatsSink {
   int64_t tombstones_masked() const {
     return tombstones_masked_.load(std::memory_order_relaxed);
   }
+  int64_t prefix_memo_hits() const {
+    return prefix_memo_hits_.load(std::memory_order_relaxed);
+  }
 
   void Reset() {
     distance_computations_.store(0, std::memory_order_relaxed);
@@ -117,6 +125,7 @@ class StatsSink {
     cells_skipped_.store(0, std::memory_order_relaxed);
     delta_windows_probed_.store(0, std::memory_order_relaxed);
     tombstones_masked_.store(0, std::memory_order_relaxed);
+    prefix_memo_hits_.store(0, std::memory_order_relaxed);
   }
 
  private:
@@ -130,6 +139,7 @@ class StatsSink {
   std::atomic<int64_t> cells_skipped_{0};
   std::atomic<int64_t> delta_windows_probed_{0};
   std::atomic<int64_t> tombstones_masked_{0};
+  std::atomic<int64_t> prefix_memo_hits_{0};
 };
 
 }  // namespace subseq

@@ -4,10 +4,14 @@
 #include <array>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <numeric>
+#include <optional>
 #include <set>
 #include <string>
 #include <type_traits>
+#include <utility>
 
 #include "subseq/core/check.h"
 #include "subseq/exec/parallel_for.h"
@@ -163,6 +167,203 @@ Result<std::unique_ptr<RangeIndex>> BuildBaseIndex(
       partition);
   SUBSEQ_RETURN_NOT_OK(built.status());
   return std::unique_ptr<RangeIndex>(std::move(built).ValueOrDie());
+}
+
+// Step 4's memo for the segments cut at one query start. Each is a
+// prefix of the start's longest segment, so one ComputePrefixes call per
+// window holds all their distances: the first touch of a window fills
+// its column, and every later call at that window reads its own length's
+// value — bit for bit what SegmentQuery computes (the ComputePrefixes
+// contract) — and counts as a memo hit. Open addressing over the touched
+// ids keeps the memo proportional to what one start's walks visit.
+template <typename T>
+class PrefixMemo {
+ public:
+  PrefixMemo(const WindowOracle<T>& oracle, std::span<const T> longest,
+             size_t min_length)
+      : oracle_(oracle),
+        longest_(longest),
+        min_length_(min_length),
+        width_(longest.size() - min_length + 1),
+        keys_(kInitialSlots, kEmpty),
+        rows_(kInitialSlots, 0) {}
+
+  // The distance of the first `length` elements of the longest segment
+  // to `window`; bumps *hits when no DP ran.
+  double Get(ObjectId window, int32_t length, int64_t* hits) {
+    const size_t column = static_cast<size_t>(length) - min_length_;
+    const size_t slot = Find(window);
+    if (keys_[slot] == window) {
+      ++*hits;
+      return columns_[rows_[slot] * width_ + column];
+    }
+    const size_t row = num_rows_++;
+    keys_[slot] = window;
+    rows_[slot] = row;
+    columns_.resize(num_rows_ * width_);
+    oracle_.distance().ComputePrefixes(longest_, oracle_.WindowView(window),
+                                       min_length_,
+                                       columns_.data() + row * width_);
+    if (2 * num_rows_ > keys_.size()) Grow();
+    return columns_[row * width_ + column];
+  }
+
+ private:
+  static constexpr ObjectId kEmpty = -1;
+  static constexpr size_t kInitialSlots = 128;  // a power of two
+
+  size_t Find(ObjectId window) const {
+    const size_t mask = keys_.size() - 1;
+    size_t slot = static_cast<size_t>(
+        (static_cast<uint64_t>(window) * 0x9E3779B97F4A7C15ull) >> 32);
+    for (slot &= mask; keys_[slot] != kEmpty && keys_[slot] != window;
+         slot = (slot + 1) & mask) {
+    }
+    return slot;
+  }
+
+  void Grow() {
+    std::vector<ObjectId> keys(2 * keys_.size(), kEmpty);
+    std::vector<size_t> rows(keys.size(), 0);
+    keys.swap(keys_);
+    rows.swap(rows_);
+    for (size_t old = 0; old < keys.size(); ++old) {
+      if (keys[old] == kEmpty) continue;
+      const size_t slot = Find(keys[old]);
+      keys_[slot] = keys[old];
+      rows_[slot] = rows[old];
+    }
+  }
+
+  const WindowOracle<T>& oracle_;
+  const std::span<const T> longest_;
+  const size_t min_length_;
+  const size_t width_;  // prefix lengths min_length_ .. |longest_|
+  std::vector<ObjectId> keys_;
+  std::vector<size_t> rows_;
+  std::vector<double> columns_;  // num_rows_ rows of width_ distances
+  size_t num_rows_ = 0;
+};
+
+// The SegmentQueryFn under a step-4 query function — the function
+// itself or its payload's — or nullptr for any other function.
+template <typename T>
+const SegmentQueryFn<T>* SegmentQueryOf(const QueryDistanceFn& query) {
+  if (const auto* fn = query.target<SegmentQueryFn<T>>()) return fn;
+  const PrunableQueryFn* payload = GetPrunable(query);
+  return payload != nullptr ? payload->fn.target<SegmentQueryFn<T>>()
+                            : nullptr;
+}
+
+// The base-index half of step 4. Without start tags the batch goes to the
+// index flat, as one call. Tagged segments run in units, one per query
+// start, under work stealing: a unit walks its segments on one thread and
+// answers their node calls from one PrefixMemo, so each (start, window)
+// pair runs one DP however many segment lengths touch it. Every walk
+// still reads its own value, so hits, per-query stats and billing equal
+// the flat call's; only prefix_memo_hits is new. An untagged function in
+// a tagged batch is a unit of its own.
+template <typename T>
+std::vector<std::vector<ObjectId>> QueryBaseIndex(
+    const RangeIndex& index, const WindowOracle<T>& oracle,
+    int32_t min_length, std::span<const QueryDistanceFn> queries,
+    double epsilon, const ExecContext& exec, StatsSink* sink,
+    QueryStats* per_query) {
+  // A tag counts only where the segment's column exists: min_length <=
+  // length <= longest.
+  std::vector<const SegmentQueryFn<T>*> segment_fns(queries.size(), nullptr);
+  bool tagged = false;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    const SegmentQueryFn<T>* fn = SegmentQueryOf<T>(queries[q]);
+    if (fn != nullptr && min_length <= fn->length &&
+        fn->length <= fn->longest) {
+      segment_fns[q] = fn;
+      tagged = true;
+    }
+  }
+  if (!tagged) {
+    return index.BatchRangeQuery(queries, epsilon, exec, sink, per_query);
+  }
+
+  // Slots ordered by start; each run of one tagged start is a unit.
+  const auto key = [&segment_fns](size_t q) {
+    const SegmentQueryFn<T>* fn = segment_fns[q];
+    if (fn == nullptr) return std::make_pair(uintptr_t{0}, 0);
+    return std::make_pair(reinterpret_cast<uintptr_t>(fn->data), fn->longest);
+  };
+  std::vector<size_t> order(queries.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(), [&key](size_t a, size_t b) {
+    return std::make_pair(key(a), a) < std::make_pair(key(b), b);
+  });
+  std::vector<size_t> unit_begins;
+  for (size_t i = 0; i < order.size(); ++i) {
+    if (i == 0 || segment_fns[order[i]] == nullptr ||
+        key(order[i]) != key(order[i - 1])) {
+      unit_begins.push_back(i);
+    }
+  }
+  unit_begins.push_back(order.size());
+
+  std::vector<std::vector<ObjectId>> results(queries.size());
+  ParallelForDynamic(
+      exec, static_cast<int64_t>(unit_begins.size() - 1),
+      [&](int64_t lo, int64_t hi, int32_t) {
+        for (int64_t u = lo; u < hi; ++u) {
+          const std::span<const size_t> slots(
+              order.data() + unit_begins[static_cast<size_t>(u)],
+              order.data() + unit_begins[static_cast<size_t>(u) + 1]);
+          // Each segment's node calls read the memo; a payload's bound
+          // rides along for the reference net's gate.
+          struct Reader {
+            PrefixMemo<T>* memo = nullptr;
+            int32_t length = 0;
+            int64_t hits = 0;
+          };
+          const SegmentQueryFn<T>* first = segment_fns[slots.front()];
+          std::optional<PrefixMemo<T>> memo;
+          std::vector<Reader> readers(slots.size());
+          std::vector<QueryDistanceFn> unit_queries;
+          unit_queries.reserve(slots.size());
+          if (first == nullptr) {
+            unit_queries.push_back(queries[slots.front()]);
+          } else {
+            memo.emplace(oracle,
+                         std::span<const T>(
+                             first->data, static_cast<size_t>(first->longest)),
+                         static_cast<size_t>(min_length));
+            for (size_t k = 0; k < slots.size(); ++k) {
+              readers[k] = Reader{&*memo, segment_fns[slots[k]]->length, 0};
+              const auto read = [r = &readers[k]](ObjectId window) {
+                return r->memo->Get(window, r->length, &r->hits);
+              };
+              const PrunableQueryFn* payload = GetPrunable(queries[slots[k]]);
+              if (payload == nullptr) {
+                unit_queries.push_back(read);
+                continue;
+              }
+              PrunableQueryFn reader;
+              reader.fn = read;
+              reader.lower_bound = payload->lower_bound;
+              reader.lb_offset = payload->lb_offset;
+              unit_queries.push_back(QueryDistanceFn(std::move(reader)));
+            }
+          }
+          std::vector<QueryStats> split(slots.size());
+          std::vector<std::vector<ObjectId>> found = index.BatchRangeQuery(
+              unit_queries, epsilon, SequentialExec(), nullptr, split.data());
+          QueryStats total;
+          for (size_t k = 0; k < slots.size(); ++k) {
+            split[k].prefix_memo_hits = readers[k].hits;
+            results[slots[k]] = std::move(found[k]);
+            if (per_query != nullptr) per_query[slots[k]] = split[k];
+            total += split[k];
+          }
+          if (sink != nullptr) sink->Add(total);
+        }
+      },
+      /*grain=*/1);
+  return results;
 }
 
 }  // namespace
@@ -404,18 +605,25 @@ Result<std::unique_ptr<SubsequenceMatcher<T>>> SubsequenceMatcher<T>::Compact()
 template <typename T>
 SegmentQueryBatch SubsequenceMatcher<T>::MakeSegmentQueries(
     std::span<const T> query, MatchQueryStats* stats) const {
-  const int32_t l = catalog_->window_length();
+  const int32_t query_length = static_cast<int32_t>(query.size());
+  const int32_t min_length = catalog_->window_length() - options_.lambda0;
+  const int32_t max_length = catalog_->window_length() + options_.lambda0;
   SegmentQueryBatch batch;
-  batch.segments = ExtractQuerySegments(static_cast<int32_t>(query.size()),
-                                        l - options_.lambda0,
-                                        l + options_.lambda0);
+  batch.segments =
+      ExtractQuerySegments(query_length, min_length, max_length);
   batch.queries.reserve(batch.segments.size());
-  // Two readers of the payload: a linear scan — a linear-scan base
-  // (monolithic, sharded or routed cells) or this epoch's delta — reads
-  // the batched evaluator and the bound; a reference-net base reads the
-  // bound alone, for its node gate. Other tree indexes call the function
-  // per id, so without a reader the plain function saves the payload's
-  // allocations and indirection.
+  // A tree base's segments carry their start tag, which BatchFilterWindows
+  // reads to answer every segment length cut at one start from one prefix
+  // column per window (only with lambda0 > 0: one length per start shares
+  // nothing). The tag lives in the function itself, so it costs no
+  // allocation. Two readers of the payload: a linear scan — a linear-scan
+  // base (monolithic, sharded or routed cells) or this epoch's delta —
+  // reads the batched evaluator and the bound; a reference-net base reads
+  // the bound alone, for its node gate. Other tree indexes call the
+  // function per id, so without a reader the plain function saves the
+  // payload's allocations and indirection.
+  const bool tagged =
+      options_.index_kind != IndexKind::kLinearScan && options_.lambda0 > 0;
   const bool scanned =
       options_.index_kind == IndexKind::kLinearScan || delta_index_ != nullptr;
   const bool gated = options_.index_kind == IndexKind::kReferenceNet &&
@@ -423,8 +631,10 @@ SegmentQueryBatch SubsequenceMatcher<T>::MakeSegmentQueries(
   for (const Interval& seg : batch.segments) {
     const std::span<const T> view = query.subspan(
         static_cast<size_t>(seg.begin), static_cast<size_t>(seg.length()));
+    const int32_t longest =
+        tagged ? std::min(max_length, query_length - seg.begin) : 0;
     if (!scanned && !gated) {
-      batch.queries.push_back(oracle_->SegmentQuery(view));
+      batch.queries.push_back(oracle_->SegmentQuery(view, longest));
       continue;
     }
     // The payload: the batched evaluator when a scan reads it (the scan
@@ -434,7 +644,7 @@ SegmentQueryBatch SubsequenceMatcher<T>::MakeSegmentQueries(
     // out). Results and billed stats are identical either way (see
     // PrunableQueryFn and MatcherOptions::lb_prefilter).
     PrunableQueryFn payload;
-    payload.fn = oracle_->SegmentQuery(view);
+    payload.fn = oracle_->SegmentQuery(view, longest);
     if (scanned) payload.many = oracle_->SegmentQueryMany(view);
     if (options_.lb_prefilter) {
       payload.lower_bound = MakeSegmentLowerBound(
@@ -551,9 +761,11 @@ template <typename T>
 std::vector<std::vector<ObjectId>> SubsequenceMatcher<T>::BatchFilterWindows(
     std::span<const QueryDistanceFn> queries, double epsilon,
     const ExecContext& exec, StatsSink* sink, QueryStats* per_query) const {
-  // Base epoch first: the expensive index answers windows [0, base).
-  std::vector<std::vector<ObjectId>> results =
-      base_->index->BatchRangeQuery(queries, epsilon, exec, sink, per_query);
+  // Base epoch first: the expensive index answers windows [0, base),
+  // one unit per tagged query start.
+  std::vector<std::vector<ObjectId>> results = QueryBaseIndex<T>(
+      *base_->index, *oracle_, catalog_->window_length() - options_.lambda0,
+      queries, epsilon, exec, sink, per_query);
 
   // Delta scan: windows appended since the base epoch live in a small
   // LinearScan with local ids; hits translate back by the base offset

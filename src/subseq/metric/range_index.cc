@@ -15,6 +15,7 @@ QueryStats& QueryStats::operator+=(const QueryStats& other) {
   cells_skipped += other.cells_skipped;
   delta_windows_probed += other.delta_windows_probed;
   tombstones_masked += other.tombstones_masked;
+  prefix_memo_hits += other.prefix_memo_hits;
   return *this;
 }
 
@@ -28,6 +29,7 @@ void StatsSink::Add(const QueryStats& stats) {
   AddCellsSkipped(stats.cells_skipped);
   AddDeltaWindowsProbed(stats.delta_windows_probed);
   AddTombstonesMasked(stats.tombstones_masked);
+  AddPrefixMemoHits(stats.prefix_memo_hits);
 }
 
 std::vector<std::vector<ObjectId>> RangeIndex::BatchRangeQuery(

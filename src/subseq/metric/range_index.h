@@ -70,6 +70,15 @@ struct QueryStats {
   /// window: the mask itself is not billed, and this counter makes the
   /// masking decisions observable and deterministic.
   int64_t tombstones_masked = 0;
+  /// Billed node calls that step 4's per-start prefix memo answered
+  /// without running a DP: the segments cut at one query start share
+  /// one SequenceDistance::ComputePrefixes column per touched window
+  /// (SubsequenceMatcher::BatchFilterWindows), so every call after the
+  /// first at a (start, window) pair reads its value from the column.
+  /// Observability only, like lower_bound_pruned — these calls stay
+  /// counted in distance_computations. Executed DPs are
+  /// distance_computations - lower_bound_pruned - prefix_memo_hits.
+  int64_t prefix_memo_hits = 0;
 
   /// Adds every counter of `other` — with StatsSink::Add, the one place
   /// that lists the counters for a roll-up.

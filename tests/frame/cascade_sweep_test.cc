@@ -19,15 +19,21 @@
 // cells, plus a live delta over each. 1-D and 2-D ERP carry the sum
 // bound, so every reference-net layout must also gate base nodes — the
 // bound must reach the walk through a shard offset and through a routed
-// cell's rebinding. Levenshtein over PROTEINS-like strings and 2-D
-// discrete Frechet have no bound and serve as controls: without a delta
-// they must prune nothing.
+// cell's rebinding. Levenshtein and weighted edit over PROTEINS-like
+// strings and 1-D / 2-D discrete Frechet have no bound and serve as
+// controls: without a delta they must prune nothing. Every tree layout
+// also runs step 4 twice, through BatchFilterWindows' per-start units
+// (a prefix memo answers their node calls) and through a direct,
+// memo-free call of the base index: the two must agree on live hits and
+// on per-segment billing, and the memo must answer calls wherever
+// lambda0 > 0 and none at lambda0 = 0.
 //
 // A last suite pins the feature tables to the epochs: a derived epoch
 // shares its base's table and builds one over its delta windows only.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <span>
 #include <string>
@@ -43,6 +49,8 @@
 #include "subseq/distance/erp.h"
 #include "subseq/distance/frechet.h"
 #include "subseq/distance/levenshtein.h"
+#include "subseq/distance/weighted_edit.h"
+#include "subseq/exec/stats_sink.h"
 #include "subseq/frame/lb_prefilter.h"
 #include "subseq/frame/matcher.h"
 
@@ -300,26 +308,56 @@ TEST(CascadeDifferentialTest, Erp2dMatchesBruteForce) {
 // ---------------------------------------------------------------------------
 // Step 4 over the tree indexes.
 
-// Prunes reported by the base index alone (the tree walk's gated nodes)
-// and by the whole filter (base plus any delta scan) over the segments
-// of `query`.
+// Step 4 over `query`'s segments, through BatchFilterWindows (one unit
+// per query start, answered from a prefix memo) and through a direct,
+// memo-free call of the base index on the same batch. The direct call's
+// live hits must equal the filter's base hits, and its billing the
+// filter's base billing, per segment. Over a tree base only a live delta
+// is scanned.
+struct TreeStep4 {
+  int64_t base_gates = 0;      // gated nodes of the direct call
+  int64_t filter_prunes = 0;   // lower_bound_pruned of the whole filter
+  int64_t memo_hits = 0;       // prefix_memo_hits of the filter
+};
+
 template <typename T>
-std::pair<int64_t, int64_t> TreePrunes(const SubsequenceMatcher<T>& matcher,
-                                       std::span<const T> query,
-                                       double epsilon) {
+TreeStep4 CompareWithDirectCall(const SubsequenceMatcher<T>& matcher,
+                                std::span<const T> query, double epsilon) {
   const SegmentQueryBatch batch = matcher.MakeSegmentQueries(query);
-  std::vector<QueryStats> base(batch.queries.size());
-  matcher.index().BatchRangeQuery(batch.queries, epsilon,
-                                  matcher.options().exec, nullptr,
-                                  base.data());
+  std::vector<QueryStats> direct(batch.queries.size());
+  std::vector<std::vector<ObjectId>> want = matcher.index().BatchRangeQuery(
+      batch.queries, epsilon, matcher.options().exec, nullptr, direct.data());
   std::vector<QueryStats> filter(batch.queries.size());
-  matcher.BatchFilterWindows(batch.queries, epsilon, matcher.options().exec,
-                             nullptr, filter.data());
-  std::pair<int64_t, int64_t> out{0, 0};
+  StatsSink sink;
+  std::vector<std::vector<ObjectId>> got = matcher.BatchFilterWindows(
+      batch.queries, epsilon, matcher.options().exec, &sink, filter.data());
+  const auto live_base = [&matcher](std::vector<ObjectId> ids) {
+    std::erase_if(ids, [&matcher](ObjectId w) {
+      return w >= matcher.base_windows() ||
+             matcher.database().is_retired(matcher.catalog().at(w).seq);
+    });
+    std::sort(ids.begin(), ids.end());
+    return ids;
+  };
+  TreeStep4 out;
   for (size_t s = 0; s < batch.queries.size(); ++s) {
-    out.first += base[s].lower_bound_pruned;
-    out.second += filter[s].lower_bound_pruned;
+    SCOPED_TRACE(::testing::Message() << "segment " << s);
+    EXPECT_EQ(live_base(got[s]), live_base(want[s]));
+    EXPECT_EQ(direct[s].prefix_memo_hits, 0);
+    EXPECT_EQ(filter[s].distance_computations -
+                  filter[s].delta_windows_probed,
+              direct[s].distance_computations);
+    EXPECT_EQ(filter[s].cells_probed, direct[s].cells_probed);
+    EXPECT_EQ(filter[s].cells_skipped, direct[s].cells_skipped);
+    if (matcher.delta_windows() == 0) {
+      EXPECT_EQ(filter[s].lower_bound_pruned, direct[s].lower_bound_pruned);
+      EXPECT_EQ(filter[s].lb_erp_pruned, direct[s].lb_erp_pruned);
+    }
+    out.base_gates += direct[s].lower_bound_pruned;
+    out.filter_prunes += filter[s].lower_bound_pruned;
+    out.memo_hits += filter[s].prefix_memo_hits;
   }
+  EXPECT_EQ(sink.prefix_memo_hits(), out.memo_hits);
   return out;
 }
 
@@ -340,23 +378,31 @@ void TreeSweep(const SweepCase<T>& c, IndexKind kind, bool bounded,
                    << c.dist->name() << " lambda=" << lambda
                    << " lambda0=" << lambda0 << " " << layout.name);
       int64_t base_gates = 0;
+      int64_t memo_hits = 0;
       int64_t hits = 0;
       for (const std::vector<T>& query : queries) {
         for (const double epsilon : c.epsilons) {
           SCOPED_TRACE(::testing::Message() << "epsilon=" << epsilon);
           const std::span<const T> q(query);
           hits += ExpectBruteForceHits(layout, q, epsilon);
-          const auto [base, filter] = TreePrunes(*layout.on, q, epsilon);
-          // Over a tree base only a live delta is scanned.
+          const TreeStep4 on = CompareWithDirectCall(*layout.on, q, epsilon);
+          memo_hits += on.memo_hits;
+          memo_hits += CompareWithDirectCall(*layout.off, q, epsilon).memo_hits;
           if (!bounded && !layout.scanned) {
-            EXPECT_EQ(filter, 0);
+            EXPECT_EQ(on.filter_prunes, 0);
           }
-          base_gates += base;
+          base_gates += on.base_gates;
         }
       }
       EXPECT_GT(hits, 0);
       if (bounded && kind == IndexKind::kReferenceNet) {
         EXPECT_GT(base_gates, 0) << "the sum bound never reached the walk";
+      }
+      // Segments that share a start share one DP per window.
+      if (lambda0 > 0) {
+        EXPECT_GT(memo_hits, 0);
+      } else {
+        EXPECT_EQ(memo_hits, 0);
       }
     }
   }
@@ -387,13 +433,14 @@ TEST(CascadeTreeDifferentialTest, Erp2dMatchesBruteForceOnEveryTree) {
   }
 }
 
-TEST(CascadeTreeDifferentialTest, UnboundedControlsOverTheReferenceNet) {
+// Levenshtein over PROTEINS-like strings and 2-D discrete Frechet have no
+// bound: controls for the gate, which must prune nothing without a delta.
+TEST(CascadeTreeDifferentialTest, UnboundedControlsOverEveryTree) {
   const LevenshteinDistance<char> lev;
   ProteinGenerator proteins(ProteinGenOptions{.mean_length = 80, .seed = 4114});
   SweepCase<char> strings{proteins.GenerateDatabase(10), {}, &lev, true,
                           {1.0, 3.0}};
   for (int i = 0; i < 2; ++i) strings.appended.push_back(proteins.Generate());
-  TreeSweep(strings, IndexKind::kReferenceNet, /*bounded=*/false, 4115);
 
   const FrechetDistance2D dfd;
   TrajectoryGenerator tracks(
@@ -401,7 +448,32 @@ TEST(CascadeTreeDifferentialTest, UnboundedControlsOverTheReferenceNet) {
   SweepCase<Point2d> planar{tracks.GenerateDatabase(10), {}, &dfd, true,
                             {1.0, 3.0}};
   for (int i = 0; i < 2; ++i) planar.appended.push_back(tracks.Generate());
-  TreeSweep(planar, IndexKind::kReferenceNet, /*bounded=*/false, 4117);
+  for (const IndexKind kind : kTreeKinds) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    TreeSweep(strings, kind, /*bounded=*/false, 4115);
+    TreeSweep(planar, kind, /*bounded=*/false, 4117);
+  }
+}
+
+TEST(CascadeTreeDifferentialTest, Frechet1dMatchesBruteForceOnEveryTree) {
+  const FrechetDistance1D dfd;
+  const SweepCase<double> c = SeriesCase(dfd, /*metric=*/true, {1.0, 2.0});
+  for (const IndexKind kind : kTreeKinds) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    TreeSweep(c, kind, /*bounded=*/false, 4118);
+  }
+}
+
+TEST(CascadeTreeDifferentialTest, WeightedEditMatchesBruteForceOnEveryTree) {
+  const WeightedEditDistance edit(SubstitutionCostModel::ProteinClasses());
+  ProteinGenerator proteins(ProteinGenOptions{.mean_length = 80, .seed = 4119});
+  SweepCase<char> c{proteins.GenerateDatabase(10), {}, &edit, true,
+                    {1.0, 2.5}};
+  for (int i = 0; i < 2; ++i) c.appended.push_back(proteins.Generate());
+  for (const IndexKind kind : kTreeKinds) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    TreeSweep(c, kind, /*bounded=*/false, 4120);
+  }
 }
 
 // ---------------------------------------------------------------------------
