@@ -12,14 +12,6 @@ namespace subseq {
 
 namespace {
 
-// True when ComputeBounded hands an n x m pair to the anti-diagonal
-// wavefront kernel (which requires n, m >= 1).
-bool TakesWavefront(size_t n, size_t m) {
-  const int wavefront = simd::AntidiagThreshold();
-  return n >= 1 && m >= 1 && wavefront >= 0 &&
-         std::min(n, m) >= static_cast<size_t>(wavefront);
-}
-
 // The row DP behind ComputeBounded and ComputePrefixes: rows run over a,
 // columns over b, so after row i the last column holds the distance of
 // a.first(i) to b. When `prefixes` is non-null, prefixes[i - min_len]
@@ -36,22 +28,21 @@ double ErpRows(std::span<const T> a, std::span<const T> b, double upper_bound,
   // prev/curr are rows of the (n+1) x (m+1) table. The per-row cost
   // rows (substitution against b, gap against b) and the row combine
   // run through the dispatched kernels (bit-identical at every level).
-  // The four rows share one allocation.
-  std::vector<double> rows(4 * (m + 1), 0.0);
-  double* prev = rows.data();
-  double* curr = prev + (m + 1);
-  double* sub = curr + (m + 1);
-  double* gap_b = sub + (m + 1);
-  simd::CostRowTo<T, Ground>(kernels, b.data(), gap, gap_b + 1, m);
+  std::vector<double> prev(m + 1, 0.0);
+  std::vector<double> curr(m + 1, 0.0);
+  std::vector<double> sub(m + 1, 0.0);
+  std::vector<double> gap_b(m + 1, 0.0);
+  simd::CostRowTo<T, Ground>(kernels, b.data(), gap, gap_b.data() + 1, m);
   for (size_t j = 1; j <= m; ++j) {
     prev[j] = prev[j - 1] + gap_b[j];
   }
   if (prefixes != nullptr && min_len == 0) prefixes[0] = prev[m];
   for (size_t i = 1; i <= n; ++i) {
     const double gap_a = Ground::Between(a[i - 1], gap);
-    simd::CostRowFrom<T, Ground>(kernels, a[i - 1], b.data(), sub + 1, m);
-    const double row_min =
-        kernels.gap_combine_row(prev, curr, sub, gap_a, gap_b, m);
+    simd::CostRowFrom<T, Ground>(kernels, a[i - 1], b.data(),
+                                 sub.data() + 1, m);
+    const double row_min = kernels.gap_combine_row(
+        prev.data(), curr.data(), sub.data(), gap_a, gap_b.data(), m);
     // Costs are non-negative, so the row minimum lower-bounds the result.
     if (row_min > upper_bound) return kInfiniteDistance;
     std::swap(prev, curr);
@@ -72,20 +63,27 @@ template <typename T, typename Ground>
 double ErpDistance<T, Ground>::ComputeBounded(std::span<const T> a,
                                               std::span<const T> b,
                                               double upper_bound) const {
+  const size_t n = a.size();
+  const size_t m = b.size();
+
   // Long single-pair calls take the anti-diagonal wavefront kernel
   // (bit-identical to the row path per kernels.h; the threshold knob
-  // trades wall-clock only).
-  if (TakesWavefront(a.size(), b.size())) {
-    const simd::Kernels& kernels = simd::GetKernels();
-    const T gap = Ground::GapElement();
-    if constexpr (std::is_same_v<T, double> &&
-                  std::is_same_v<Ground, ScalarGround>) {
-      return kernels.erp_antidiag_f64(a.data(), a.size(), b.data(), b.size(),
-                                      gap, upper_bound);
-    } else if constexpr (std::is_same_v<T, Point2d> &&
-                         std::is_same_v<Ground, Point2dGround>) {
-      return kernels.erp_antidiag_p2d(a.data(), a.size(), b.data(), b.size(),
-                                      gap, upper_bound);
+  // trades wall-clock only). The kernel requires n, m >= 1.
+  if (n >= 1 && m >= 1) {
+    const int wavefront = simd::AntidiagThreshold();
+    if (wavefront >= 0 &&
+        std::min(n, m) >= static_cast<size_t>(wavefront)) {
+      const simd::Kernels& kernels = simd::GetKernels();
+      const T gap = Ground::GapElement();
+      if constexpr (std::is_same_v<T, double> &&
+                    std::is_same_v<Ground, ScalarGround>) {
+        return kernels.erp_antidiag_f64(a.data(), n, b.data(), m, gap,
+                                        upper_bound);
+      } else if constexpr (std::is_same_v<T, Point2d> &&
+                           std::is_same_v<Ground, Point2dGround>) {
+        return kernels.erp_antidiag_p2d(a.data(), n, b.data(), m, gap,
+                                        upper_bound);
+      }
     }
   }
   return ErpRows<T, Ground>(a, b, upper_bound, 0, nullptr);
@@ -96,12 +94,9 @@ void ErpDistance<T, Ground>::ComputePrefixes(std::span<const T> a,
                                              std::span<const T> b,
                                              size_t min_len,
                                              double* out) const {
-  // Compute takes the wavefront kernel for the longer prefixes of such a
-  // pair, so the per-length default keeps every value Compute's own.
-  if (TakesWavefront(a.size(), b.size())) {
-    SequenceDistance<T>::ComputePrefixes(a, b, min_len, out);
-    return;
-  }
+  // The row path serves every pair, also those whose longer prefixes
+  // Compute hands to the wavefront kernel: the kernel's cells equal the
+  // rows' bit for bit (kernels.h).
   ErpRows<T, Ground>(a, b, kInfiniteDistance, min_len, out);
 }
 

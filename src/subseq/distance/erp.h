@@ -29,9 +29,9 @@ class ErpDistance final : public SequenceDistance<T> {
   double ComputeBounded(std::span<const T> a, std::span<const T> b,
                         double upper_bound) const override;
 
-  /// One row DP of a against b, every prefix read off its row; a pair
-  /// whose longest prefix Compute would hand to the wavefront kernel takes
-  /// the per-length default instead.
+  /// One row DP of a against b, every prefix read off its row, for every
+  /// pair: where Compute takes the wavefront kernel (min(n, m) at or above
+  /// the anti-diagonal threshold), its cells equal the rows' bit for bit.
   void ComputePrefixes(std::span<const T> a, std::span<const T> b,
                        size_t min_len, double* out) const override;
 

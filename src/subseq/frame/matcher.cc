@@ -190,8 +190,8 @@ class PrefixMemo {
 
   // The distance of the first `length` elements of the longest segment
   // to `window`; bumps *hits when no DP ran.
-  double Get(ObjectId window, int32_t length, int64_t* hits) {
-    const size_t column = static_cast<size_t>(length) - min_length_;
+  double Get(ObjectId window, size_t length, int64_t* hits) {
+    const size_t column = length - min_length_;
     const size_t slot = Find(window);
     if (keys_[slot] == window) {
       ++*hits;
@@ -255,41 +255,31 @@ const SegmentQueryFn<T>* SegmentQueryOf(const QueryDistanceFn& query) {
                             : nullptr;
 }
 
-// The base-index half of step 4. Without start tags the batch goes to the
-// index flat, as one call. Tagged segments run in units, one per query
-// start, under work stealing: a unit walks its segments on one thread and
-// answers their node calls from one PrefixMemo, so each (start, window)
-// pair runs one DP however many segment lengths touch it. Every walk
-// still reads its own value, so hits, per-query stats and billing equal
-// the flat call's; only prefix_memo_hits is new. An untagged function in
-// a tagged batch is a unit of its own.
+// The base-index half of step 4 over a tree, one unit per query start
+// under work stealing. The segments cut at one start share their first
+// element's address (and oracle), and each is a prefix of the longest
+// of them, so a unit walks its segments on one thread and answers their
+// node calls from one PrefixMemo over that longest segment: each (start,
+// window) pair runs one DP however many segment lengths touch it. Every
+// walk still reads its own value, so hits, per-query stats and billing
+// equal the flat call's; only prefix_memo_hits is new. A start the batch
+// holds one segment of, and any function that is not a SegmentQueryFn,
+// is a unit of its own and runs unchanged.
 template <typename T>
-std::vector<std::vector<ObjectId>> QueryBaseIndex(
-    const RangeIndex& index, const WindowOracle<T>& oracle,
-    int32_t min_length, std::span<const QueryDistanceFn> queries,
+std::vector<std::vector<ObjectId>> QueryByStart(
+    const RangeIndex& index, std::span<const QueryDistanceFn> queries,
     double epsilon, const ExecContext& exec, StatsSink* sink,
     QueryStats* per_query) {
-  // A tag counts only where the segment's column exists: min_length <=
-  // length <= longest.
-  std::vector<const SegmentQueryFn<T>*> segment_fns(queries.size(), nullptr);
-  bool tagged = false;
+  std::vector<const SegmentQueryFn<T>*> segment_fns(queries.size());
   for (size_t q = 0; q < queries.size(); ++q) {
-    const SegmentQueryFn<T>* fn = SegmentQueryOf<T>(queries[q]);
-    if (fn != nullptr && min_length <= fn->length &&
-        fn->length <= fn->longest) {
-      segment_fns[q] = fn;
-      tagged = true;
-    }
+    segment_fns[q] = SegmentQueryOf<T>(queries[q]);
   }
-  if (!tagged) {
-    return index.BatchRangeQuery(queries, epsilon, exec, sink, per_query);
-  }
-
-  // Slots ordered by start; each run of one tagged start is a unit.
+  // Slots ordered by start; each run of one start is a unit.
   const auto key = [&segment_fns](size_t q) {
     const SegmentQueryFn<T>* fn = segment_fns[q];
-    if (fn == nullptr) return std::make_pair(uintptr_t{0}, 0);
-    return std::make_pair(reinterpret_cast<uintptr_t>(fn->data), fn->longest);
+    if (fn == nullptr) return std::make_pair(uintptr_t{0}, uintptr_t{0});
+    return std::make_pair(reinterpret_cast<uintptr_t>(fn->oracle),
+                          reinterpret_cast<uintptr_t>(fn->segment.data()));
   };
   std::vector<size_t> order(queries.size());
   std::iota(order.begin(), order.end(), size_t{0});
@@ -317,23 +307,30 @@ std::vector<std::vector<ObjectId>> QueryBaseIndex(
           // rides along for the reference net's gate.
           struct Reader {
             PrefixMemo<T>* memo = nullptr;
-            int32_t length = 0;
+            size_t length = 0;
             int64_t hits = 0;
           };
-          const SegmentQueryFn<T>* first = segment_fns[slots.front()];
           std::optional<PrefixMemo<T>> memo;
           std::vector<Reader> readers(slots.size());
           std::vector<QueryDistanceFn> unit_queries;
           unit_queries.reserve(slots.size());
-          if (first == nullptr) {
+          if (slots.size() == 1) {
             unit_queries.push_back(queries[slots.front()]);
           } else {
-            memo.emplace(oracle,
-                         std::span<const T>(
-                             first->data, static_cast<size_t>(first->longest)),
-                         static_cast<size_t>(min_length));
+            size_t min_length = SIZE_MAX;
+            size_t max_length = 0;
+            for (const size_t q : slots) {
+              const size_t length = segment_fns[q]->segment.size();
+              min_length = std::min(min_length, length);
+              max_length = std::max(max_length, length);
+            }
+            const SegmentQueryFn<T>* first = segment_fns[slots.front()];
+            memo.emplace(*first->oracle,
+                         std::span<const T>(first->segment.data(), max_length),
+                         min_length);
             for (size_t k = 0; k < slots.size(); ++k) {
-              readers[k] = Reader{&*memo, segment_fns[slots[k]]->length, 0};
+              readers[k] =
+                  Reader{&*memo, segment_fns[slots[k]]->segment.size(), 0};
               const auto read = [r = &readers[k]](ObjectId window) {
                 return r->memo->Get(window, r->length, &r->hits);
               };
@@ -605,25 +602,18 @@ Result<std::unique_ptr<SubsequenceMatcher<T>>> SubsequenceMatcher<T>::Compact()
 template <typename T>
 SegmentQueryBatch SubsequenceMatcher<T>::MakeSegmentQueries(
     std::span<const T> query, MatchQueryStats* stats) const {
-  const int32_t query_length = static_cast<int32_t>(query.size());
-  const int32_t min_length = catalog_->window_length() - options_.lambda0;
-  const int32_t max_length = catalog_->window_length() + options_.lambda0;
+  const int32_t l = catalog_->window_length();
   SegmentQueryBatch batch;
-  batch.segments =
-      ExtractQuerySegments(query_length, min_length, max_length);
+  batch.segments = ExtractQuerySegments(static_cast<int32_t>(query.size()),
+                                        l - options_.lambda0,
+                                        l + options_.lambda0);
   batch.queries.reserve(batch.segments.size());
-  // A tree base's segments carry their start tag, which BatchFilterWindows
-  // reads to answer every segment length cut at one start from one prefix
-  // column per window (only with lambda0 > 0: one length per start shares
-  // nothing). The tag lives in the function itself, so it costs no
-  // allocation. Two readers of the payload: a linear scan — a linear-scan
-  // base (monolithic, sharded or routed cells) or this epoch's delta —
-  // reads the batched evaluator and the bound; a reference-net base reads
-  // the bound alone, for its node gate. Other tree indexes call the
-  // function per id, so without a reader the plain function saves the
-  // payload's allocations and indirection.
-  const bool tagged =
-      options_.index_kind != IndexKind::kLinearScan && options_.lambda0 > 0;
+  // Two readers of the payload: a linear scan — a linear-scan base
+  // (monolithic, sharded or routed cells) or this epoch's delta — reads
+  // the batched evaluator and the bound; a reference-net base reads the
+  // bound alone, for its node gate. Other tree indexes call the function
+  // per id, so without a reader the plain function saves the payload's
+  // allocations and indirection.
   const bool scanned =
       options_.index_kind == IndexKind::kLinearScan || delta_index_ != nullptr;
   const bool gated = options_.index_kind == IndexKind::kReferenceNet &&
@@ -631,10 +621,8 @@ SegmentQueryBatch SubsequenceMatcher<T>::MakeSegmentQueries(
   for (const Interval& seg : batch.segments) {
     const std::span<const T> view = query.subspan(
         static_cast<size_t>(seg.begin), static_cast<size_t>(seg.length()));
-    const int32_t longest =
-        tagged ? std::min(max_length, query_length - seg.begin) : 0;
     if (!scanned && !gated) {
-      batch.queries.push_back(oracle_->SegmentQuery(view, longest));
+      batch.queries.push_back(oracle_->SegmentQuery(view));
       continue;
     }
     // The payload: the batched evaluator when a scan reads it (the scan
@@ -644,7 +632,7 @@ SegmentQueryBatch SubsequenceMatcher<T>::MakeSegmentQueries(
     // out). Results and billed stats are identical either way (see
     // PrunableQueryFn and MatcherOptions::lb_prefilter).
     PrunableQueryFn payload;
-    payload.fn = oracle_->SegmentQuery(view, longest);
+    payload.fn = oracle_->SegmentQuery(view);
     if (scanned) payload.many = oracle_->SegmentQueryMany(view);
     if (options_.lb_prefilter) {
       payload.lower_bound = MakeSegmentLowerBound(
@@ -761,11 +749,17 @@ template <typename T>
 std::vector<std::vector<ObjectId>> SubsequenceMatcher<T>::BatchFilterWindows(
     std::span<const QueryDistanceFn> queries, double epsilon,
     const ExecContext& exec, StatsSink* sink, QueryStats* per_query) const {
-  // Base epoch first: the expensive index answers windows [0, base),
-  // one unit per tagged query start.
-  std::vector<std::vector<ObjectId>> results = QueryBaseIndex<T>(
-      *base_->index, *oracle_, catalog_->window_length() - options_.lambda0,
-      queries, epsilon, exec, sink, per_query);
+  // Base epoch first: the expensive index answers windows [0, base). A
+  // tree walks one unit per query start when each start has several
+  // segment lengths (lambda0 > 0); a linear scan already evaluates whole
+  // blocks through ComputeMany, and its cascade skips most windows.
+  const bool by_start =
+      options_.index_kind != IndexKind::kLinearScan && options_.lambda0 > 0;
+  std::vector<std::vector<ObjectId>> results =
+      by_start ? QueryByStart<T>(*base_->index, queries, epsilon, exec, sink,
+                                 per_query)
+               : base_->index->BatchRangeQuery(queries, epsilon, exec, sink,
+                                               per_query);
 
   // Delta scan: windows appended since the base epoch live in a small
   // LinearScan with local ids; hits translate back by the base offset

@@ -293,17 +293,17 @@ class SubsequenceMatcher {
   /// routed cell skips. per_query[i].result_count reflects the masked
   /// (returned) hit count, keeping the slot contract exact.
   ///
-  /// Over a tree base, the segments MakeSegmentQueries tagged with their
-  /// query start run as one unit per start: the units share exec under
-  /// work stealing, and each walks its segments through the base index
-  /// on one thread, answering their calls from a memo local to the unit
-  /// that maps each touched window to ONE
-  /// SequenceDistance::ComputePrefixes column of the start's longest
-  /// segment. Every walk reads its own segment's value, so results,
-  /// billing and every other per-query stat equal a direct
-  /// index().BatchRangeQuery of the same batch; the calls the memo
-  /// answered without a DP count in prefix_memo_hits. Untagged queries
-  /// (a linear-scan base, lambda0 = 0, any other function) and the delta
+  /// Over a tree base with lambda0 > 0, the batch runs as one unit per
+  /// query start: segments whose SegmentQueryFn views begin at the same
+  /// element (under one oracle) are prefixes of the longest of them. The
+  /// units share exec under work stealing, and each walks its segments
+  /// through the base index on one thread, answering their calls from a
+  /// memo local to the unit that maps each touched window to ONE
+  /// SequenceDistance::ComputePrefixes column of that longest segment.
+  /// Every walk reads its own segment's value, so results, billing and
+  /// every other per-query stat equal a direct index().BatchRangeQuery
+  /// of the same batch; the calls the memo answered without a DP count
+  /// in prefix_memo_hits. A linear-scan base, lambda0 = 0 and the delta
   /// scan take one flat batch. With an empty delta and no tombstones the
   /// hits are exactly index().BatchRangeQuery's. Thread-safe.
   std::vector<std::vector<ObjectId>> BatchFilterWindows(
@@ -318,11 +318,8 @@ class SubsequenceMatcher {
   /// this matcher's step 4 runs a linear scan (a linear-scan base or a
   /// live delta) each function carries the PrunableQueryFn scan
   /// payload, and a reference-net base gets the payload for its node
-  /// gate. Over a tree base with lambda0 > 0 each function also carries
-  /// its start tag (SegmentQueryFn::longest), which BatchFilterWindows
-  /// reads to run one unit per query start. Pure and thread-safe; `query`'s storage must
-  /// outlive the returned batch. `stats` (optional) receives the segment
-  /// count.
+  /// gate. Pure and thread-safe; `query`'s storage must outlive the
+  /// returned batch. `stats` (optional) receives the segment count.
   SegmentQueryBatch MakeSegmentQueries(std::span<const T> query,
                                        MatchQueryStats* stats = nullptr) const;
 

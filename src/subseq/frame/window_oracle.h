@@ -19,26 +19,15 @@ template <typename T>
 class WindowOracle;
 
 /// The function WindowOracle::SegmentQuery returns: the exact distance of
-/// one query segment (`length` elements at `data`) to database windows.
-/// `longest` is step 3's tag on a segment that a tree index will answer:
-/// the segment is a prefix of the `longest` elements at `data`, the
-/// longest segment cut at its query start, so step 4 can answer every
-/// segment length at one start from one SequenceDistance::
-/// ComputePrefixes call per window (SubsequenceMatcher::
-/// BatchFilterWindows); 0 = untagged. The distance never reads it. The
-/// fields are packed into 24 bytes because std::function allocates one
-/// per segment: at 32 bytes, MakeSegmentQueries took about 1.6x as long
-/// on 125-segment queries.
+/// one query segment to database windows. A named type (the same 24
+/// bytes as a lambda capturing the oracle and the view) so step 4 can
+/// read the segment back out of a QueryDistanceFn
+/// (SubsequenceMatcher::BatchFilterWindows groups segments by start).
 template <typename T>
 struct SegmentQueryFn {
   const WindowOracle<T>* oracle = nullptr;
-  const T* data = nullptr;
-  int32_t length = 0;
-  int32_t longest = 0;
+  std::span<const T> segment;
 
-  std::span<const T> segment() const {
-    return std::span<const T>(data, static_cast<size_t>(length));
-  }
   double operator()(ObjectId window) const;
 };
 
@@ -75,13 +64,10 @@ class WindowOracle final : public DistanceOracle,
   }
 
   /// A query-side distance function measuring a query segment against
-  /// database windows: it holds a SegmentQueryFn<T> tagged with
-  /// `longest`. The segment view must stay valid while the function is
-  /// in use.
-  QueryDistanceFn SegmentQuery(std::span<const T> segment,
-                               int32_t longest = 0) const {
-    return SegmentQueryFn<T>{this, segment.data(),
-                             static_cast<int32_t>(segment.size()), longest};
+  /// database windows (it holds a SegmentQueryFn<T>). The segment view
+  /// must stay valid while the function is in use.
+  QueryDistanceFn SegmentQuery(std::span<const T> segment) const {
+    return SegmentQueryFn<T>{this, segment};
   }
 
   /// The batched companion of SegmentQuery: many(ids, out) sets out[i]
@@ -110,7 +96,7 @@ class WindowOracle final : public DistanceOracle,
 
 template <typename T>
 double SegmentQueryFn<T>::operator()(ObjectId window) const {
-  return oracle->distance().Compute(segment(), oracle->WindowView(window));
+  return oracle->distance().Compute(segment, oracle->WindowView(window));
 }
 
 extern template class WindowOracle<char>;

@@ -4,10 +4,10 @@
 // such call per window, so any difference would change a hit or a hit
 // distance. The sweep crosses both 64-element limits — the Levenshtein
 // kernel's pattern word and the anti-diagonal threshold — with |a| and
-// |b| from 0 to 70 and every min_len <= |a|, once with the default
-// wavefront threshold and once with the wavefront kernel forced on every
-// pair Compute may hand it. A canary past the last slot catches a write
-// beyond |a| - min_len + 1 values.
+// |b| from 0 to 70 and every min_len <= |a|, and ERP runs it once more
+// with the wavefront kernel forced on every pair Compute may hand it. A
+// canary past the last slot catches a write beyond |a| - min_len + 1
+// values.
 
 #include <gtest/gtest.h>
 
@@ -106,7 +106,7 @@ std::vector<double> Levels(Rng* rng, int32_t n) {
 }
 std::vector<Point2d> Track(Rng* rng, int32_t n) { return RandomTrack(rng, n); }
 
-void SweepStrings() {
+TEST(PrefixDistanceTest, StringPrefixesMatchComputeBitForBit) {
   ExpectPrefixesMatchCompute(LevenshteinDistance<char>(), 701, Dna);
   ExpectPrefixesMatchCompute(LevenshteinDistance<char>(), 702, Protein);
   ExpectPrefixesMatchCompute(HammingDistance<char>(), 703, Dna);
@@ -118,7 +118,7 @@ void SweepStrings() {
       Dna);
 }
 
-void SweepSeries() {
+TEST(PrefixDistanceTest, SeriesPrefixesMatchComputeBitForBit) {
   ExpectPrefixesMatchCompute(ErpDistance1D(), 711, Series);
   ExpectPrefixesMatchCompute(FrechetDistance1D(), 712, Series);
   ExpectPrefixesMatchCompute(DtwDistance1D(), 713, Series);
@@ -130,7 +130,7 @@ void SweepSeries() {
   ExpectPrefixesMatchCompute(HammingDistance<double>(), 719, Levels);
 }
 
-void SweepTracks() {
+TEST(PrefixDistanceTest, TrackPrefixesMatchComputeBitForBit) {
   ExpectPrefixesMatchCompute(ErpDistance2D(), 721, Track);
   ExpectPrefixesMatchCompute(FrechetDistance2D(), 722, Track);
   ExpectPrefixesMatchCompute(DtwDistance2D(), 723, Track);
@@ -146,31 +146,13 @@ class ScopedWavefront {
   ~ScopedWavefront() { simd::ClearAntidiagThresholdForTesting(); }
 };
 
-TEST(PrefixDistanceTest, StringPrefixesMatchComputeBitForBit) {
-  SweepStrings();
-}
-
-TEST(PrefixDistanceTest, SeriesPrefixesMatchComputeBitForBit) {
-  SweepSeries();
-}
-
-TEST(PrefixDistanceTest, TrackPrefixesMatchComputeBitForBit) {
-  SweepTracks();
-}
-
-TEST(PrefixDistanceTest, StringPrefixesMatchComputeWithTheWavefrontForced) {
+// Only ERP and DTW take the wavefront kernel, and only ERP overrides
+// ComputePrefixes: its one row DP must still equal what Compute returns
+// through the anti-diagonal kernel.
+TEST(PrefixDistanceTest, ErpPrefixesMatchComputeWithTheWavefrontForced) {
   const ScopedWavefront wavefront;
-  SweepStrings();
-}
-
-TEST(PrefixDistanceTest, SeriesPrefixesMatchComputeWithTheWavefrontForced) {
-  const ScopedWavefront wavefront;
-  SweepSeries();
-}
-
-TEST(PrefixDistanceTest, TrackPrefixesMatchComputeWithTheWavefrontForced) {
-  const ScopedWavefront wavefront;
-  SweepTracks();
+  ExpectPrefixesMatchCompute(ErpDistance1D(), 731, Series);
+  ExpectPrefixesMatchCompute(ErpDistance2D(), 732, Track);
 }
 
 }  // namespace
