@@ -2,9 +2,9 @@
 // knobs on PROTEINS / Levenshtein —
 //  * eps' (base radius): how level granularity affects build cost, space
 //    and query pruning;
-//  * num_max (parent cap), including num_max = 1, which degenerates the
-//    multi-parent net into a tree and isolates the benefit of Figure 2's
-//    multi-parenting.
+//  * num_max (parent cap), including num_max = 1, the single-parent net
+//    that is the cover tree (IndexKind::kCoverTree builds exactly this),
+//    which isolates the benefit of Figure 2's multi-parenting.
 
 #include <cstdio>
 
@@ -58,8 +58,8 @@ void Run() {
       std::printf("\n");
     }
   }
-  std::printf("\nReading guide: num_max = 0 is unlimited, 1 degenerates to "
-              "a tree (cover-tree-like),\n5 is the paper's RN-5. q@e = "
+  std::printf("\nReading guide: num_max = 0 is unlimited, 1 is the cover "
+              "tree (IndexKind::kCoverTree),\n5 is the paper's RN-5. q@e = "
               "average %% of naive distance computations at range e.\n");
 }
 

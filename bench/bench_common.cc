@@ -8,7 +8,6 @@
 #include "subseq/core/check.h"
 #include "subseq/data/motif.h"
 #include "subseq/distance/simd/cpu_features.h"
-#include "subseq/metric/cover_tree.h"
 #include "subseq/metric/linear_scan.h"
 #include "subseq/metric/mv_index.h"
 #include "subseq/metric/reference_net.h"
@@ -215,21 +214,16 @@ bool WriteBenchJson(const std::string& path, const std::string& benchmark,
 
 std::unique_ptr<RangeIndex> BuildIndex(const std::string& kind,
                                        const DistanceOracle& oracle) {
-  if (kind == "rn" || kind == "rn-5") {
+  if (kind == "rn" || kind == "rn-5" || kind == "ct") {
+    // The cover tree is the net capped at one parent per node.
     ReferenceNetOptions options;
     if (kind == "rn-5") options.max_parents = 5;
+    if (kind == "ct") options.max_parents = 1;
     auto net = std::make_unique<ReferenceNet>(oracle, options);
     for (ObjectId id = 0; id < oracle.size(); ++id) {
       SUBSEQ_CHECK(net->Insert(id).ok());
     }
     return net;
-  }
-  if (kind == "ct") {
-    auto tree = std::make_unique<CoverTree>(oracle);
-    for (ObjectId id = 0; id < oracle.size(); ++id) {
-      SUBSEQ_CHECK(tree->Insert(id).ok());
-    }
-    return tree;
   }
   if (kind == "mv-5" || kind == "mv-20" || kind == "mv-50") {
     MvIndexOptions options;

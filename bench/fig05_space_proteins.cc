@@ -10,7 +10,6 @@
 
 #include "bench_common.h"
 #include "subseq/distance/levenshtein.h"
-#include "subseq/metric/cover_tree.h"
 #include "subseq/metric/reference_net.h"
 
 namespace subseq::bench {

@@ -8,7 +8,6 @@
 
 #include "subseq/core/rng.h"
 #include "subseq/exec/exec_context.h"
-#include "subseq/metric/cover_tree.h"
 #include "subseq/metric/linear_scan.h"
 #include "subseq/metric/mv_index.h"
 #include "subseq/metric/oracle.h"
@@ -55,11 +54,14 @@ void BM_ReferenceNetBuild(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 
+// The cover tree is the reference net capped at one parent per node.
 void BM_CoverTreeBuild(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const PointOracle oracle(MakePoints(n, 7));
+  ReferenceNetOptions options;
+  options.max_parents = 1;
   for (auto _ : state) {
-    CoverTree tree = CoverTree::BuildAll(oracle);
+    ReferenceNet tree = ReferenceNet::BuildAll(oracle, options);
     benchmark::DoNotOptimize(tree.size());
   }
   state.SetItemsProcessed(state.iterations() * n);

@@ -125,19 +125,13 @@ std::shared_ptr<const LbFeatureTable> MaybeBuildLbFeatures(
 Result<std::unique_ptr<RangeIndex>> BuildKindIndex(
     const DistanceOracle& oracle, const MatcherOptions& options) {
   switch (options.index_kind) {
-    case IndexKind::kReferenceNet: {
+    case IndexKind::kReferenceNet:
+    case IndexKind::kCoverTree: {
       auto net = std::make_unique<ReferenceNet>(oracle, options.reference_net);
       for (ObjectId id = 0; id < oracle.size(); ++id) {
         SUBSEQ_RETURN_NOT_OK(net->Insert(id));
       }
       return std::unique_ptr<RangeIndex>(std::move(net));
-    }
-    case IndexKind::kCoverTree: {
-      auto tree = std::make_unique<CoverTree>(oracle, options.cover_tree);
-      for (ObjectId id = 0; id < oracle.size(); ++id) {
-        SUBSEQ_RETURN_NOT_OK(tree->Insert(id));
-      }
-      return std::unique_ptr<RangeIndex>(std::move(tree));
     }
     case IndexKind::kMvIndex:
       return std::unique_ptr<RangeIndex>(
@@ -463,6 +457,12 @@ Result<std::unique_ptr<SubsequenceMatcher<T>>> SubsequenceMatcher<T>::MakeShell(
         " does not advertise metricity — disable routing for it");
   }
 
+  // The cover tree is the reference net with one parent per node. Build,
+  // LoadIndex, BuildToSnapshot and the server all resolve options here,
+  // so no other module needs to know the rule.
+  if (options.index_kind == IndexKind::kCoverTree) {
+    options.reference_net.max_parents = 1;
+  }
   // One knob governs all parallel sections: the matcher's ExecContext is
   // pushed down into every index build — unless the caller explicitly
   // set that index's own exec (num_threads != 0), which wins.
@@ -610,13 +610,14 @@ SegmentQueryBatch SubsequenceMatcher<T>::MakeSegmentQueries(
   batch.queries.reserve(batch.segments.size());
   // Two readers of the payload: a linear scan — a linear-scan base
   // (monolithic, sharded or routed cells) or this epoch's delta — reads
-  // the batched evaluator and the bound; a reference-net base reads the
-  // bound alone, for its node gate. Other tree indexes call the function
-  // per id, so without a reader the plain function saves the payload's
-  // allocations and indirection.
+  // the batched evaluator and the bound; a reference-net or cover-tree
+  // base reads the bound alone, for its node gate. The MV index calls
+  // the function per id, so without a reader the plain function saves
+  // the payload's allocations and indirection.
   const bool scanned =
       options_.index_kind == IndexKind::kLinearScan || delta_index_ != nullptr;
-  const bool gated = options_.index_kind == IndexKind::kReferenceNet &&
+  const bool gated = (options_.index_kind == IndexKind::kReferenceNet ||
+                      options_.index_kind == IndexKind::kCoverTree) &&
                      options_.lb_prefilter && LbFeaturesApply(dist_);
   for (const Interval& seg : batch.segments) {
     const std::span<const T> view = query.subspan(

@@ -34,7 +34,6 @@
 #include "subseq/frame/epoch_base.h"
 #include "subseq/frame/window_oracle.h"
 #include "subseq/frame/windowing.h"
-#include "subseq/metric/cover_tree.h"
 #include "subseq/metric/linear_scan.h"
 #include "subseq/metric/mv_index.h"
 #include "subseq/metric/range_index.h"
@@ -50,7 +49,9 @@ struct LbFeatureTable;
 
 /// Which index backs the window filter. Snapshots store the value
 /// (idx.<kind>.top), so the values are fixed: never renumber one, and
-/// never reuse 3, the retired vp-tree's value.
+/// never reuse 3, the retired vp-tree's value. kCoverTree is the
+/// reference net capped at one parent per node: the matcher builds it
+/// from `reference_net` with max_parents forced to 1.
 enum class IndexKind {
   kReferenceNet = 0,
   kCoverTree = 1,
@@ -68,8 +69,9 @@ struct MatcherOptions {
   int32_t lambda0 = 2;
   /// Index used for step 4.
   IndexKind index_kind = IndexKind::kReferenceNet;
+  /// Tunables of the reference net (kReferenceNet) and of the cover tree
+  /// (kCoverTree, which ignores max_parents: it is always 1).
   ReferenceNetOptions reference_net;
-  CoverTreeOptions cover_tree;
   MvIndexOptions mv_index;
   /// Step-4 lower-bound pruning cascade (frame/lb_prefilter.h): every
   /// query segment — each of the 2 * lambda0 + 1 segment lengths — gets
@@ -95,8 +97,9 @@ struct MatcherOptions {
   /// A tree base builds none: the ERP bound computes the sums of a
   /// window no table covers from its elements. Under routing the cascade
   /// is rebound to each probed cell's materialized member windows, so it
-  /// keeps pruning (and gating) inside cells. The cover tree and the MV
-  /// index do not read the bound.
+  /// keeps pruning (and gating) inside cells. The cover tree gates its
+  /// nodes as the reference net does (it is the same walk); the MV index
+  /// does not read the bound.
   bool lb_prefilter = true;
   /// Safety cap on step-5 distance verifications per query; exceeded =>
   /// Status::OutOfRange (Type I can be combinatorial by design). Must be
@@ -171,8 +174,8 @@ struct MatcherOptions {
 /// Tunables of SubsequenceMatcher::BuildToSnapshot — the out-of-core,
 /// part-by-part builder.
 struct SnapshotBuildOptions {
-  /// Catalog windows fed to an insertion-built backend (reference net,
-  /// cover tree) per batch before the residency gauge is charged again.
+  /// Catalog windows fed to an insertion-built backend (reference net
+  /// or cover tree) per batch before the residency gauge is charged again.
   /// 0 = one batch per part. Any batch size produces byte-identical
   /// snapshots: insertions happen in ascending id order regardless of
   /// how they are batched. Table-built backends (MV-index, linear scan)

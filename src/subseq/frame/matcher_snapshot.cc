@@ -123,15 +123,11 @@ std::string DescribePartition(int32_t partition, int32_t parts) {
 Status SaveInnerSections(const RangeIndex& inner, IndexKind kind,
                          SnapshotWriter& writer, const std::string& prefix) {
   switch (kind) {
-    case IndexKind::kReferenceNet: {
+    case IndexKind::kReferenceNet:
+    case IndexKind::kCoverTree: {
       const auto* net = dynamic_cast<const ReferenceNet*>(&inner);
       if (net == nullptr) break;
       return net->SaveSections(writer, prefix);
-    }
-    case IndexKind::kCoverTree: {
-      const auto* tree = dynamic_cast<const CoverTree*>(&inner);
-      if (tree == nullptr) break;
-      return tree->SaveSections(writer, prefix);
     }
     case IndexKind::kMvIndex: {
       const auto* mv = dynamic_cast<const MvIndex*>(&inner);
@@ -156,17 +152,12 @@ Result<std::unique_ptr<RangeIndex>> LoadInnerSections(
     const std::string& prefix, const DistanceOracle& oracle,
     const MatcherOptions& options) {
   switch (options.index_kind) {
-    case IndexKind::kReferenceNet: {
+    case IndexKind::kReferenceNet:
+    case IndexKind::kCoverTree: {
       auto net = ReferenceNet::LoadSections(*file, prefix, oracle,
                                             options.reference_net);
       SUBSEQ_RETURN_NOT_OK(net.status());
       return std::unique_ptr<RangeIndex>(std::move(net).ValueOrDie());
-    }
-    case IndexKind::kCoverTree: {
-      auto tree =
-          CoverTree::LoadSections(*file, prefix, oracle, options.cover_tree);
-      SUBSEQ_RETURN_NOT_OK(tree.status());
-      return std::unique_ptr<RangeIndex>(std::move(tree).ValueOrDie());
     }
     case IndexKind::kMvIndex: {
       auto mv =
@@ -203,8 +194,8 @@ Result<std::unique_ptr<RangeIndex>> LoadBaseIndex(
 }
 
 // The out-of-core cousin of matcher.cc's BuildKindIndex: builds one
-// part's inner index, charging `gauge` as windows become resident.
-// Insertion-built backends (reference net, cover tree) stage ascending
+// part's inner index, charging `gauge` as windows become resident. The
+// insertion-built reference net (and so the cover tree) stages ascending
 // ids in `batch_windows`-sized batches — the id order, and so the built
 // structure, is identical at every batch size. Table-built backends
 // materialize the whole part in their constructor, so the part is
@@ -230,24 +221,16 @@ Result<std::unique_ptr<RangeIndex>> BuildPartBatched(
     }
   }
 
-  std::unique_ptr<ReferenceNet> net;
-  std::unique_ptr<CoverTree> tree;
-  if (options.index_kind == IndexKind::kReferenceNet) {
-    net = std::make_unique<ReferenceNet>(oracle, options.reference_net);
-  } else {
-    tree = std::make_unique<CoverTree>(oracle, options.cover_tree);
-  }
+  auto net = std::make_unique<ReferenceNet>(oracle, options.reference_net);
   for (int32_t id = 0; id < n;) {
     const int32_t take = std::min(batch, n - id);
     if (gauge != nullptr) gauge->Acquire(take);
     for (int32_t i = 0; i < take; ++i) {
-      SUBSEQ_RETURN_NOT_OK(net != nullptr ? net->Insert(id + i)
-                                          : tree->Insert(id + i));
+      SUBSEQ_RETURN_NOT_OK(net->Insert(id + i));
     }
     id += take;
   }
-  if (net != nullptr) return std::unique_ptr<RangeIndex>(std::move(net));
-  return std::unique_ptr<RangeIndex>(std::move(tree));
+  return std::unique_ptr<RangeIndex>(std::move(net));
 }
 
 }  // namespace

@@ -753,9 +753,15 @@ Result<ReferenceNet> ReferenceNet::Import(
       if (lvl > parent.top_level || child.top_level != lvl - 1) {
         return Status::InvalidArgument("snapshot level structure invalid");
       }
-      if (distance > net.Radius(lvl)) {
+      if (!std::isfinite(distance) || distance < 0.0 ||
+          distance > net.Radius(lvl)) {
         return Status::InvalidArgument(
-            "snapshot edge distance exceeds its list radius");
+            "snapshot edge distance is not in [0, list radius]");
+      }
+      if (options.max_parents > 0 &&
+          static_cast<int32_t>(child.parents.size()) >= options.max_parents) {
+        return Status::InvalidArgument(
+            "snapshot node sits in more lists than max_parents allows");
       }
       if (check_edge[static_cast<size_t>(edge_cursor++)] &&
           oracle.Distance(parent.object, child_object) != distance) {

@@ -1,4 +1,6 @@
-// ReferenceNet — the paper's novel metric index (Section 6, Appendix A).
+// ReferenceNet — the paper's novel metric index (Section 6, Appendix A),
+// and at num_max = 1 the cover tree it is compared against ("CT" in
+// Figs. 5 and 7-11; Beygelzimer, Kakade & Langford, ICML 2006).
 //
 // A hierarchical structure with levels i carrying radius eps_i = eps' * 2^i.
 // Each reference R(i, j) keeps lists L(i, j) of references from the level
@@ -6,7 +8,9 @@
 // *multiple* parents (Figure 2 of the paper shows why this helps range
 // queries), and the per-node number of parents can be capped (num_max,
 // "DFD-5" / "RN-5" in the paper's experiments) to keep space linear under
-// skewed distance distributions.
+// skewed distance distributions. A cap of 1 keeps only the closest parent:
+// the single-parent tree is the cover tree, so IndexKind::kCoverTree is
+// this class at max_parents = 1 and name() reports "cover-tree" there.
 //
 // Implementation notes:
 //  * A node is stored once, at its highest (top) level, and is implicitly
@@ -45,7 +49,8 @@ struct ReferenceNetOptions {
   /// eps' — the radius of level 0. The paper's experiments use 1.0.
   double base_radius = 1.0;
   /// num_max — the maximum number of parent lists a node may appear in;
-  /// 0 means unlimited (the paper's unconstrained variant).
+  /// 0 means unlimited (the paper's unconstrained variant); 1 builds the
+  /// cover tree.
   int32_t max_parents = 0;
   /// Thread budget for construction: each insert batches its per-level
   /// candidate-distance computations (the O(n * refs) hot path) over
@@ -75,7 +80,11 @@ class ReferenceNet final : public RangeIndex {
   /// True if the object is currently indexed.
   bool Contains(ObjectId id) const;
 
-  std::string_view name() const override { return "reference-net"; }
+  /// "cover-tree" at max_parents = 1 (the single-parent net), else
+  /// "reference-net".
+  std::string_view name() const override {
+    return options_.max_parents == 1 ? "cover-tree" : "reference-net";
+  }
   int32_t size() const override { return num_objects_; }
 
   /// Range query (Algorithm 3 with Lemma 4 and per-edge triangle
@@ -126,9 +135,12 @@ class ReferenceNet final : public RangeIndex {
   std::vector<ExportedNode> Export() const;
 
   /// Rebuilds a net from a snapshot over the given oracle. Validates
-  /// level structure, parent links and a deterministic seeded sample of
-  /// edge distances (every edge for small nets); fails with
-  /// InvalidArgument on any inconsistency.
+  /// level structure, parent links (every non-root node has a parent,
+  /// and no node sits in more than max_parents lists when capped),
+  /// finite non-negative edge distances within their list radius, and a
+  /// deterministic seeded sample of edge distances against the oracle
+  /// (every edge for small nets); fails with InvalidArgument on any
+  /// inconsistency.
   static Result<ReferenceNet> Import(const DistanceOracle& oracle,
                                      ReferenceNetOptions options,
                                      const std::vector<ExportedNode>& nodes);

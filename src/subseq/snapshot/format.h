@@ -55,7 +55,10 @@ inline constexpr uint64_t kSnapshotFooterMagic = 0x544F4F4650414E53ULL;
 /// Bumped on any incompatible layout change. Readers reject files with
 /// a different version instead of guessing. Version 2 is the first
 /// with the single partition block (metric/partitioned_index.h).
-inline constexpr uint32_t kSnapshotFormatVersion = 2;
+/// Version 3 stores a cover-tree block (idx.ct.*) in the reference
+/// net's sections (meta, nodes, dups, edges), since the cover tree is
+/// the net at max_parents = 1; version 2 had its own layout.
+inline constexpr uint32_t kSnapshotFormatVersion = 3;
 
 /// Every section payload starts on an 8-byte boundary (so double/int64
 /// arrays can be aliased directly out of the mapping) and is zero-padded

@@ -172,7 +172,9 @@ TEST(ParallelDeterminismTest, BatchRangeQueryMatchesPerQueryResults) {
   const testing::ScalarPointOracle oracle(
       testing::RandomSeries(&rng, 300, 0.0, 100.0));
   ReferenceNet net = ReferenceNet::BuildAll(oracle);
-  CoverTree tree = CoverTree::BuildAll(oracle);
+  ReferenceNetOptions tree_options;
+  tree_options.max_parents = 1;  // the cover tree
+  ReferenceNet tree = ReferenceNet::BuildAll(oracle, tree_options);
   const MvIndex mv(oracle);
   const LinearScan scan(oracle.size());
   const RangeIndex* indexes[] = {&net, &tree, &mv, &scan};

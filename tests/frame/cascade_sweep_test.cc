@@ -395,7 +395,8 @@ void TreeSweep(const SweepCase<T>& c, IndexKind kind, bool bounded,
         }
       }
       EXPECT_GT(hits, 0);
-      if (bounded && kind == IndexKind::kReferenceNet) {
+      if (bounded && (kind == IndexKind::kReferenceNet ||
+                      kind == IndexKind::kCoverTree)) {
         EXPECT_GT(base_gates, 0) << "the sum bound never reached the walk";
       }
       // Segments that share a start share one DP per window.

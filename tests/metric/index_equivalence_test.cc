@@ -17,7 +17,6 @@
 #include "subseq/distance/levenshtein.h"
 #include "subseq/frame/window_oracle.h"
 #include "subseq/frame/windowing.h"
-#include "subseq/metric/cover_tree.h"
 #include "subseq/metric/linear_scan.h"
 #include "subseq/metric/mv_index.h"
 #include "subseq/metric/reference_net.h"
@@ -30,34 +29,24 @@ using ::subseq::testing::ScalarPointOracle;
 
 std::unique_ptr<RangeIndex> MakeIndex(const std::string& kind,
                                       const DistanceOracle& oracle) {
-  if (kind == "reference-net") {
-    auto net = std::make_unique<ReferenceNet>(oracle);
-    for (ObjectId id = 0; id < oracle.size(); ++id) {
-      EXPECT_TRUE(net->Insert(id).ok());
-    }
-    return net;
-  }
-  if (kind == "reference-net-5") {
-    ReferenceNetOptions options;
-    options.max_parents = 5;
-    auto net = std::make_unique<ReferenceNet>(oracle, options);
-    for (ObjectId id = 0; id < oracle.size(); ++id) {
-      EXPECT_TRUE(net->Insert(id).ok());
-    }
-    return net;
-  }
-  if (kind == "cover-tree") {
-    auto tree = std::make_unique<CoverTree>(oracle);
-    for (ObjectId id = 0; id < oracle.size(); ++id) {
-      EXPECT_TRUE(tree->Insert(id).ok());
-    }
-    return tree;
-  }
   if (kind == "mv-index") {
     return std::make_unique<MvIndex>(oracle);
   }
-  ADD_FAILURE() << "unknown index kind " << kind;
-  return nullptr;
+  // The cover tree is the reference net capped at one parent per node.
+  ReferenceNetOptions options;
+  if (kind == "reference-net-5") {
+    options.max_parents = 5;
+  } else if (kind == "cover-tree") {
+    options.max_parents = 1;
+  } else if (kind != "reference-net") {
+    ADD_FAILURE() << "unknown index kind " << kind;
+    return nullptr;
+  }
+  auto net = std::make_unique<ReferenceNet>(oracle, options);
+  for (ObjectId id = 0; id < oracle.size(); ++id) {
+    EXPECT_TRUE(net->Insert(id).ok());
+  }
+  return net;
 }
 
 // ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@
 
 #include "subseq/core/rng.h"
 #include "subseq/exec/stats_sink.h"
-#include "subseq/metric/cover_tree.h"
 #include "subseq/metric/linear_scan.h"
 #include "subseq/metric/reference_net.h"
 #include "subseq/snapshot/reader.h"
@@ -55,27 +54,21 @@ PartIndexFactory LinearScanFactory() {
   };
 }
 
-PartIndexFactory CoverTreeFactory() {
-  return [](const DistanceOracle& oracle,
-            int32_t) -> Result<std::unique_ptr<RangeIndex>> {
-    auto tree = std::make_unique<CoverTree>(oracle);
-    for (ObjectId id = 0; id < oracle.size(); ++id) {
-      SUBSEQ_RETURN_NOT_OK(tree->Insert(id));
-    }
-    return std::unique_ptr<RangeIndex>(std::move(tree));
-  };
-}
-
-PartIndexFactory ReferenceNetFactory() {
-  return [](const DistanceOracle& oracle,
-            int32_t) -> Result<std::unique_ptr<RangeIndex>> {
-    auto net = std::make_unique<ReferenceNet>(oracle);
+PartIndexFactory ReferenceNetFactory(int32_t max_parents = 0) {
+  return [max_parents](const DistanceOracle& oracle,
+                       int32_t) -> Result<std::unique_ptr<RangeIndex>> {
+    ReferenceNetOptions options;
+    options.max_parents = max_parents;
+    auto net = std::make_unique<ReferenceNet>(oracle, options);
     for (ObjectId id = 0; id < oracle.size(); ++id) {
       SUBSEQ_RETURN_NOT_OK(net->Insert(id));
     }
     return std::unique_ptr<RangeIndex>(std::move(net));
   };
 }
+
+// The cover tree is the reference net capped at one parent per node.
+PartIndexFactory CoverTreeFactory() { return ReferenceNetFactory(1); }
 
 std::unique_ptr<PartitionedIndex> BuildPartitioned(
     const DistanceOracle& oracle, const PartIndexFactory& factory,

@@ -29,14 +29,26 @@ std::vector<double> RandomPoints(uint64_t seed, int n, double lo, double hi) {
   return pts;
 }
 
+// The parent caps the structural cases run under: the unconstrained net
+// and the cover tree (one parent per node).
+constexpr int32_t kParentCaps[] = {0, 1};
+
+ReferenceNetOptions Capped(int32_t max_parents) {
+  ReferenceNetOptions options;
+  options.max_parents = max_parents;
+  return options;
+}
+
 TEST(ReferenceNetTest, EmptyNetAnswersEmpty) {
   const ScalarPointOracle oracle({});
-  ReferenceNet net(oracle);
-  QueryStats stats;
-  EXPECT_TRUE(net.RangeQuery([](ObjectId) { return 0.0; }, 10.0, &stats)
-                  .empty());
-  EXPECT_EQ(stats.distance_computations, 0);
-  EXPECT_FALSE(net.CheckInvariants().has_value());
+  for (const int32_t cap : kParentCaps) {
+    ReferenceNet net(oracle, Capped(cap));
+    QueryStats stats;
+    EXPECT_TRUE(net.RangeQuery([](ObjectId) { return 0.0; }, 10.0, &stats)
+                    .empty());
+    EXPECT_EQ(stats.distance_computations, 0);
+    EXPECT_FALSE(net.CheckInvariants().has_value());
+  }
 }
 
 TEST(ReferenceNetTest, SingleObject) {
@@ -50,18 +62,23 @@ TEST(ReferenceNetTest, SingleObject) {
 
 TEST(ReferenceNetTest, InsertRejectsDuplicateIds) {
   const ScalarPointOracle oracle({1.0, 2.0});
-  ReferenceNet net(oracle);
-  EXPECT_TRUE(net.Insert(0).ok());
-  EXPECT_EQ(net.Insert(0).code(), StatusCode::kAlreadyExists);
+  for (const int32_t cap : kParentCaps) {
+    ReferenceNet net(oracle, Capped(cap));
+    EXPECT_TRUE(net.Insert(0).ok());
+    EXPECT_EQ(net.Insert(0).code(), StatusCode::kAlreadyExists);
+  }
 }
 
 TEST(ReferenceNetTest, InvariantsHoldAfterRandomInserts) {
-  for (const uint64_t seed : {1u, 2u, 3u}) {
-    const ScalarPointOracle oracle(RandomPoints(seed, 120, 0.0, 50.0));
-    ReferenceNet net = ReferenceNet::BuildAll(oracle);
-    const auto violation = net.CheckInvariants();
-    EXPECT_FALSE(violation.has_value()) << "seed " << seed << ": "
-                                        << *violation;
+  for (const int32_t cap : kParentCaps) {
+    for (const uint64_t seed : {1u, 2u, 3u, 5u, 6u, 7u}) {
+      const double hi = seed < 5 ? 50.0 : 60.0;
+      const ScalarPointOracle oracle(RandomPoints(seed, 120, 0.0, hi));
+      ReferenceNet net = ReferenceNet::BuildAll(oracle, Capped(cap));
+      const auto violation = net.CheckInvariants();
+      EXPECT_FALSE(violation.has_value())
+          << "max_parents " << cap << " seed " << seed << ": " << *violation;
+    }
   }
 }
 
@@ -82,32 +99,43 @@ TEST(ReferenceNetTest, InvariantsHoldOnClusteredData) {
 }
 
 TEST(ReferenceNetTest, HandlesExactDuplicates) {
-  std::vector<double> pts = {1.0, 1.0, 1.0, 5.0, 5.0, 9.0};
-  const ScalarPointOracle oracle(pts);
-  ReferenceNet net = ReferenceNet::BuildAll(oracle);
-  EXPECT_EQ(net.size(), 6);
-  const auto violation = net.CheckInvariants();
-  EXPECT_FALSE(violation.has_value()) << *violation;
-  auto hits = net.RangeQuery(oracle.QueryFrom(1.0), 0.0, nullptr);
-  std::sort(hits.begin(), hits.end());
-  EXPECT_EQ(hits, (std::vector<ObjectId>{0, 1, 2}));
+  for (const std::vector<double>& pts :
+       {std::vector<double>{1.0, 1.0, 1.0, 5.0, 5.0, 9.0},
+        std::vector<double>{2.0, 2.0, 2.0, 7.0}}) {
+    const ScalarPointOracle oracle(pts);
+    for (const int32_t cap : kParentCaps) {
+      ReferenceNet net = ReferenceNet::BuildAll(oracle, Capped(cap));
+      EXPECT_EQ(net.size(), static_cast<int32_t>(pts.size()));
+      const auto violation = net.CheckInvariants();
+      EXPECT_FALSE(violation.has_value()) << *violation;
+      auto hits = net.RangeQuery(oracle.QueryFrom(pts[0]), 0.0, nullptr);
+      std::sort(hits.begin(), hits.end());
+      EXPECT_EQ(hits, (std::vector<ObjectId>{0, 1, 2}));
+    }
+  }
 }
 
 TEST(ReferenceNetTest, RangeQueryMatchesLinearScan) {
-  const ScalarPointOracle oracle(RandomPoints(7, 200, 0.0, 100.0));
-  ReferenceNet net = ReferenceNet::BuildAll(oracle);
-  LinearScan scan(oracle.size());
-  Rng rng(8);
-  for (int q = 0; q < 30; ++q) {
-    const double query_point = rng.NextDouble(-10.0, 110.0);
-    const double eps = rng.NextDouble(0.0, 20.0);
-    auto expected = scan.RangeQuery(oracle.QueryFrom(query_point), eps,
-                                    nullptr);
-    auto actual = net.RangeQuery(oracle.QueryFrom(query_point), eps,
-                                 nullptr);
-    std::sort(expected.begin(), expected.end());
-    std::sort(actual.begin(), actual.end());
-    EXPECT_EQ(actual, expected) << "q=" << query_point << " eps=" << eps;
+  for (const uint64_t seed : {7u, 11u}) {
+    const ScalarPointOracle oracle(RandomPoints(seed, 200, 0.0, 100.0));
+    LinearScan scan(oracle.size());
+    for (const int32_t cap : kParentCaps) {
+      ReferenceNet net = ReferenceNet::BuildAll(oracle, Capped(cap));
+      Rng rng(seed + 1);
+      for (int q = 0; q < 30; ++q) {
+        const double query_point = rng.NextDouble(-10.0, 110.0);
+        const double eps = rng.NextDouble(0.0, 20.0);
+        auto expected = scan.RangeQuery(oracle.QueryFrom(query_point), eps,
+                                        nullptr);
+        auto actual = net.RangeQuery(oracle.QueryFrom(query_point), eps,
+                                     nullptr);
+        std::sort(expected.begin(), expected.end());
+        std::sort(actual.begin(), actual.end());
+        EXPECT_EQ(actual, expected) << "seed " << seed << " max_parents "
+                                    << cap << " q=" << query_point
+                                    << " eps=" << eps;
+      }
+    }
   }
 }
 
@@ -133,12 +161,18 @@ TEST(ReferenceNetTest, RangeQueryMatchesLinearScan2D) {
 
 TEST(ReferenceNetTest, PrunesComparedToLinearScanOnLargeRange) {
   // With points spread across a wide domain and a small query radius, the
-  // net must evaluate far fewer distances than the scan.
-  const ScalarPointOracle oracle(RandomPoints(23, 500, 0.0, 1000.0));
-  ReferenceNet net = ReferenceNet::BuildAll(oracle);
-  QueryStats stats;
-  net.RangeQuery(oracle.QueryFrom(500.0), 2.0, &stats);
-  EXPECT_LT(stats.distance_computations, oracle.size() / 2);
+  // net (and the cover tree) must evaluate far fewer distances than the
+  // scan.
+  for (const uint64_t seed : {21u, 23u}) {
+    const ScalarPointOracle oracle(RandomPoints(seed, 500, 0.0, 1000.0));
+    for (const int32_t cap : kParentCaps) {
+      ReferenceNet net = ReferenceNet::BuildAll(oracle, Capped(cap));
+      QueryStats stats;
+      net.RangeQuery(oracle.QueryFrom(500.0), 2.0, &stats);
+      EXPECT_LT(stats.distance_computations, oracle.size() / 2)
+          << "seed " << seed << " max_parents " << cap;
+    }
+  }
 }
 
 TEST(ReferenceNetTest, MaxParentsIsRespected) {
@@ -154,14 +188,36 @@ TEST(ReferenceNetTest, MaxParentsIsRespected) {
 
 TEST(ReferenceNetTest, MaxParentsReducesSpace) {
   // Skewed (tightly packed) data inflates parent lists; the cap reins the
-  // space in — the paper's DFD-5 experiment (Fig. 6).
-  const ScalarPointOracle oracle(RandomPoints(37, 300, 0.0, 6.0));
-  ReferenceNet unconstrained = ReferenceNet::BuildAll(oracle);
-  ReferenceNetOptions capped_options;
-  capped_options.max_parents = 2;
-  ReferenceNet capped = ReferenceNet::BuildAll(oracle, capped_options);
-  EXPECT_LE(capped.ComputeSpaceStats().num_list_entries,
-            unconstrained.ComputeSpaceStats().num_list_entries);
+  // space in — the paper's DFD-5 experiment (Fig. 6) — down to the cover
+  // tree's one parent per node.
+  for (const uint64_t seed : {19u, 37u}) {
+    const ScalarPointOracle oracle(RandomPoints(seed, 300, 0.0, 6.0));
+    ReferenceNet unconstrained = ReferenceNet::BuildAll(oracle);
+    for (const int32_t cap : {2, 1}) {
+      ReferenceNet capped = ReferenceNet::BuildAll(oracle, Capped(cap));
+      EXPECT_FALSE(capped.CheckInvariants().has_value());
+      EXPECT_LE(capped.ComputeSpaceStats().num_list_entries,
+                unconstrained.ComputeSpaceStats().num_list_entries)
+          << "seed " << seed << " max_parents " << cap;
+    }
+  }
+}
+
+TEST(ReferenceNetTest, CapOfOneBuildsTheCoverTree) {
+  // One parent per node: list entries == nodes - 1, on spread-out and on
+  // tightly packed data alike.
+  for (const std::vector<double>& points :
+       {RandomPoints(13, 150, 0.0, 80.0), RandomPoints(19, 300, 0.0, 8.0)}) {
+    const ScalarPointOracle oracle(points);
+    const ReferenceNet tree = ReferenceNet::BuildAll(oracle, Capped(1));
+    EXPECT_EQ(tree.name(), "cover-tree");
+    const SpaceStats s = tree.ComputeSpaceStats();
+    EXPECT_EQ(s.num_list_entries, s.num_nodes - 1);
+    EXPECT_DOUBLE_EQ(s.avg_parents, 1.0);
+    EXPECT_EQ(ReferenceNet::BuildAll(oracle).name(), "reference-net");
+    EXPECT_EQ(ReferenceNet::BuildAll(oracle, Capped(5)).name(),
+              "reference-net");
+  }
 }
 
 TEST(ReferenceNetTest, CappedNetStillAnswersExactly) {
@@ -333,8 +389,10 @@ class ExactDistanceBound final : public QueryLowerBound {
 template <typename Oracle, typename Point>
 void ExpectExactBoundGateKeepsTheWalk(const Oracle& oracle,
                                       const std::vector<Point>& queries,
-                                      const std::vector<double>& epsilons) {
-  ReferenceNet net = ReferenceNet::BuildAll(oracle);
+                                      const std::vector<double>& epsilons,
+                                      int32_t max_parents) {
+  SCOPED_TRACE(::testing::Message() << "max_parents " << max_parents);
+  ReferenceNet net = ReferenceNet::BuildAll(oracle, Capped(max_parents));
   int64_t gated = 0;
   for (size_t q = 0; q < queries.size(); ++q) {
     const double eps = epsilons[q];
@@ -374,15 +432,16 @@ TEST(ReferenceNetTest, GateWithTheExactDistanceAsBoundKeepsTheWalk) {
   }
   std::vector<double> scalar = RandomPoints(82, 300, 0.0, 100.0);
   scalar.insert(scalar.end(), {5.0, 5.0, 50.0});  // exact duplicates
-  ExpectExactBoundGateKeepsTheWalk(ScalarPointOracle(scalar), scalar_queries,
-                                   epsilons);
-
   std::vector<Point2d> plane;
   for (int i = 0; i < 250; ++i) {
     plane.push_back(Point2d{rng.NextDouble(0, 40), rng.NextDouble(0, 40)});
   }
-  ExpectExactBoundGateKeepsTheWalk(PlanePointOracle(plane), plane_queries,
-                                   epsilons);
+  for (const int32_t cap : kParentCaps) {
+    ExpectExactBoundGateKeepsTheWalk(ScalarPointOracle(scalar),
+                                     scalar_queries, epsilons, cap);
+    ExpectExactBoundGateKeepsTheWalk(PlanePointOracle(plane), plane_queries,
+                                     epsilons, cap);
+  }
 }
 
 }  // namespace

@@ -214,9 +214,10 @@ TEST_F(SnapshotCorruptionTest, WrongMagicIsCaught) {
 }
 
 TEST_F(SnapshotCorruptionTest, WrongFormatVersionIsCaught) {
-  // Version 1 predates the single partition block; 99 is from the future.
+  // Version 1 predates the single partition block, version 2 the cover
+  // tree stored as a capped reference net; 99 is from the future.
   const std::string mutated = TempPath("corruption_version.snap");
-  for (const uint32_t version : {1u, 99u}) {
+  for (const uint32_t version : {1u, 2u, 99u}) {
     std::vector<uint8_t> copy = *bytes_;
     SnapshotHeader header;
     std::memcpy(&header, copy.data(), sizeof(header));
@@ -226,7 +227,7 @@ TEST_F(SnapshotCorruptionTest, WrongFormatVersionIsCaught) {
     ExpectOpenFails(mutated,
                     "unsupported snapshot format version " +
                         std::to_string(version) +
-                        " (this build reads version 2)",
+                        " (this build reads version 3)",
                     "format version " + std::to_string(version));
   }
   std::remove(mutated.c_str());

@@ -8,7 +8,11 @@
 // the head of the export sailed through. The check now verifies every
 // edge on small nets (<= 256 edges) and a deterministic seeded sample on
 // large ones. The tests plant exactly one bad edge deep in the export
-// and require Import to reject it.
+// and require Import to reject it. Other corruption must fail whether
+// or not the sample reaches it: a stored edge distance that is negative
+// or NaN (a walk's triangle bounds would prune, or stop pruning, on it),
+// and a node listed by more parents than max_parents allows (at a cap
+// of 1, the cover tree, a second parent).
 //
 // SerializationTest feeds the round trip further inputs: an empty net,
 // duplicates with non-default options, protein windows, an imported net
@@ -19,8 +23,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <random>
+#include <set>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "subseq/core/rng.h"
@@ -84,6 +91,86 @@ TEST(SnapshotRefNetSpotCheckTest, PlantedBadEdgePastOldWindowIsRejected) {
   ASSERT_FALSE(imported.ok())
       << "a single corrupted edge distance must fail the load spot-check";
   EXPECT_EQ(imported.status().code(), StatusCode::kInvalidArgument);
+}
+
+// Plants `bad` as the stored distance of one edge at a time, at 16
+// positions spread over the export of a net too large for the spot-check
+// to read every edge (it samples 256), so most planted edges are never
+// compared with the oracle. Import must refuse every one of them.
+void ExpectEdgeDistanceRejected(double bad) {
+  const ScalarPointOracle oracle(ScatteredPoints(2000, 5));
+  for (const int32_t max_parents : {0, 1}) {
+    ReferenceNetOptions options;
+    options.max_parents = max_parents;
+    const ReferenceNet net = ReferenceNet::BuildAll(oracle, options);
+    const std::vector<ReferenceNet::ExportedNode> nodes = net.Export();
+    const int64_t total = TotalEdges(nodes);
+    ASSERT_GT(total, 4 * 256) << "fixture too small to outrun the sample";
+    for (int64_t k = 0; k < 16; ++k) {
+      int64_t target = (2 * k + 1) * total / 32;
+      std::vector<ReferenceNet::ExportedNode> corrupt = nodes;
+      for (auto& node : corrupt) {
+        if (target < static_cast<int64_t>(node.edges.size())) {
+          std::get<2>(node.edges[static_cast<size_t>(target)]) = bad;
+          break;
+        }
+        target -= static_cast<int64_t>(node.edges.size());
+      }
+      const auto imported = ReferenceNet::Import(oracle, options, corrupt);
+      EXPECT_EQ(imported.status().code(), StatusCode::kInvalidArgument)
+          << "max_parents " << max_parents << ", edge " << k << " of 16";
+    }
+  }
+}
+
+TEST(SnapshotRefNetSpotCheckTest, NegativeEdgeDistanceIsRejected) {
+  ExpectEdgeDistanceRejected(-1000.0);
+}
+
+TEST(SnapshotRefNetSpotCheckTest, NanEdgeDistanceIsRejected) {
+  ExpectEdgeDistanceRejected(std::numeric_limits<double>::quiet_NaN());
+}
+
+TEST(SnapshotRefNetSpotCheckTest, SecondParentBeyondTheCapIsRejected) {
+  // Give one node of a cover tree (max_parents = 1) a second parent: a
+  // node at the right level within the list radius, with the exact
+  // distance stored, so only the parent count is wrong.
+  const ScalarPointOracle oracle(ScatteredPoints(300, 11));
+  ReferenceNetOptions capped;
+  capped.max_parents = 1;
+  const ReferenceNet tree = ReferenceNet::BuildAll(oracle, capped);
+  std::vector<ReferenceNet::ExportedNode> nodes = tree.Export();
+  std::set<std::pair<ObjectId, ObjectId>> edges;
+  for (const auto& node : nodes) {
+    for (const auto& edge : node.edges) {
+      edges.emplace(node.object, std::get<1>(edge));
+    }
+  }
+  bool planted = false;
+  // nodes[0] is the root, which has no parent to double.
+  for (size_t c = 1; c < nodes.size() && !planted; ++c) {
+    const int32_t level = nodes[c].top_level + 1;
+    for (auto& parent : nodes) {
+      if (parent.top_level < level || parent.object == nodes[c].object ||
+          edges.count({parent.object, nodes[c].object}) > 0) {
+        continue;
+      }
+      const double d = oracle.Distance(parent.object, nodes[c].object);
+      if (d > std::ldexp(capped.base_radius, level)) continue;
+      parent.edges.emplace_back(level, nodes[c].object, d);
+      planted = true;
+      break;
+    }
+  }
+  ASSERT_TRUE(planted) << "no node could take a second parent";
+
+  const auto imported = ReferenceNet::Import(oracle, capped, nodes);
+  EXPECT_EQ(imported.status().code(), StatusCode::kInvalidArgument);
+  // Without a cap the same structure is a valid reference net.
+  const auto unconstrained =
+      ReferenceNet::Import(oracle, ReferenceNetOptions{}, nodes);
+  ASSERT_TRUE(unconstrained.ok()) << unconstrained.status().message();
+  EXPECT_FALSE(unconstrained.value().CheckInvariants().has_value());
 }
 
 TEST(SnapshotRefNetSpotCheckTest, CleanExportImportsIdentically) {

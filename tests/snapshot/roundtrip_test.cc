@@ -303,6 +303,22 @@ TEST_F(SnapshotRoundtripTest, RejectsMismatchedLoads) {
                 .code(),
             StatusCode::kInvalidArgument);
 
+  // The cover tree's tunable is the net's base radius.
+  const std::string ct_path = TempPath("rt_mismatch_ct.snap");
+  ASSERT_TRUE(SubsequenceMatcher<char>::Build(
+                  fx.db, fx.dist, SmallOptions(IndexKind::kCoverTree, 1))
+                  .value()
+                  ->SaveIndex(ct_path)
+                  .ok());
+  other = SmallOptions(IndexKind::kCoverTree, 1);
+  other.reference_net.base_radius = 2.5;
+  EXPECT_EQ(
+      SubsequenceMatcher<char>::LoadIndex(fx.db, fx.dist, other, ct_path)
+          .status()
+          .code(),
+      StatusCode::kInvalidArgument);
+  std::remove(ct_path.c_str());
+
   // A database that differs from the one the snapshot was built over.
   SequenceDatabase<char> wrong_db;
   wrong_db.Add(MakeStringSequence("ACGTACGTACGTACGT"));
@@ -339,6 +355,49 @@ TEST_F(SnapshotRoundtripTest, IndexBlocksRecordStableKindValues) {
     EXPECT_EQ(top.value()[0], value);
     std::remove(path.c_str());
   }
+}
+
+// kCoverTree is the reference net at max_parents = 1 whatever
+// reference_net.max_parents holds: Build, LoadIndex and BuildToSnapshot
+// all resolve the kind's options in one place, and each yields a tree.
+TEST_F(SnapshotRoundtripTest, CoverTreeIsATreeWhateverTheParentCap) {
+  const SongFixture fx;
+  MatcherOptions options = SmallOptions(IndexKind::kCoverTree, 1);
+  options.reference_net.max_parents = 5;
+  const auto expect_tree = [](const RangeIndex& index, const char* path) {
+    SCOPED_TRACE(path);
+    EXPECT_EQ(index.name(), "cover-tree");
+    const SpaceStats s = index.ComputeSpaceStats();
+    EXPECT_GT(s.num_nodes, 1);
+    EXPECT_EQ(s.num_list_entries, s.num_nodes - 1);
+    EXPECT_EQ(s.avg_parents, 1.0);
+  };
+
+  auto built = SubsequenceMatcher<double>::Build(fx.db, fx.dist, options);
+  ASSERT_TRUE(built.ok()) << built.status().message();
+  expect_tree(built.value()->index(), "Build");
+  const std::string path = TempPath("rt_ct_cap.snap");
+  ASSERT_TRUE(built.value()->SaveIndex(path).ok());
+  auto loaded =
+      SubsequenceMatcher<double>::LoadIndex(fx.db, fx.dist, options, path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  expect_tree(loaded.value()->index(), "LoadIndex");
+
+  const std::string streamed = TempPath("rt_ct_cap_streamed.snap");
+  ASSERT_TRUE(SubsequenceMatcher<double>::BuildToSnapshot(fx.db, fx.dist,
+                                                          options, streamed)
+                  .ok());
+  EXPECT_EQ(ReadFileBytes(streamed), ReadFileBytes(path));
+
+  // The same options over the reference net keep the cap of 5, and this
+  // catalog gives some node a second parent.
+  options.index_kind = IndexKind::kReferenceNet;
+  auto net = SubsequenceMatcher<double>::Build(fx.db, fx.dist, options);
+  ASSERT_TRUE(net.ok()) << net.status().message();
+  EXPECT_EQ(net.value()->index().name(), "reference-net");
+  EXPECT_GT(net.value()->index().ComputeSpaceStats().avg_parents, 1.0);
+  std::remove(path.c_str());
+  std::remove(streamed.c_str());
 }
 
 // The serving layer: a MatchServer started from a snapshot answers
