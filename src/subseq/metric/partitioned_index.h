@@ -2,8 +2,9 @@
 // index of any backend per part, behind the RangeIndex interface.
 //
 // A monolithic index caps the catalog at one node's memory and
-// serializes most of its build (metric inserts are inherently sequential
-// for the reference net and cover tree). Partitioning builds one
+// serializes most of its build (the reference net, and so the cover
+// tree, inserts one object at a time; only the distances of one level's
+// candidates within an insert fan out over exec). Partitioning builds one
 // independent inner index per part — in parallel on the shared
 // ThreadPool — and answers a query by fanning it to the parts and
 // merging hits in part order. Two layouts share that machinery:
